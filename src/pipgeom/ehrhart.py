@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import count_boundary, count_interior, count_total
+from .counting import count_interior, count_report, count_total
 from .exact import format_rational
 from .polygon import RationalPolygon
 
@@ -148,10 +148,11 @@ def is_pseudointegral(P: RationalPolygon) -> PipCertificate:
     if c0 != 1 or b.denominator != 1 or i.denominator != 1:
         raise CountingConsistencyError(f"polynomial counts with impossible coefficients {qp.coeffs[0]}")
     b, i = int(b), int(i)
-    if count_boundary(P, 1) != b or count_interior(P, 1) != i:
+    direct = count_report(P, 1)
+    if direct.boundary != b or direct.interior != i:
         raise CountingConsistencyError(
             f"coefficient profile ({i}, {b}) disagrees with direct counts "
-            f"({count_interior(P, 1)}, {count_boundary(P, 1)})"
+            f"({direct.interior}, {direct.boundary})"
         )
     return PipCertificate(True, qp.collapse(), interior=i, boundary=b)
 

@@ -35,8 +35,18 @@ def format_rational(q: Scalar) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Inverse of :func:`format_rational`; accepts "p" and "p/q"."""
-    return Fraction(s.strip())
+    """Inverse of :func:`format_rational`; accepts "p" and "p/q".
+
+    Raises ValueError for anything but a string (format_rational always
+    writes strings, so bare JSON numbers are rejected) and for a zero
+    denominator.
+    """
+    if not isinstance(s, str):
+        raise ValueError(f"rational must be a string like \"p/q\", got {type(s).__name__}")
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 @dataclass(frozen=True)

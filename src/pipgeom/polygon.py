@@ -131,6 +131,28 @@ class RationalPolygon:
             out.append(Edge(a, b, normal, normal.dot(a)))
         return tuple(out)
 
+    @cached_property
+    def column_sums(self) -> tuple[int, int, int, tuple[tuple[int, int, int, int, int], ...]]:
+        """Integer data for counting lattice points in dilates by columns.
+
+        (D, x_lo, x_hi, edges): the denominator D, the x-extent of D * P,
+        and (lo, hi, m, a, c) per non-vertical edge.  The edge spans
+        lo/D <= x <= hi/D; at column x of t * P an upper edge gives
+        y <= (c*t - a*x) / m and a lower edge y >= -(c*t - a*x) / m.
+        """
+        D = self.denominator
+        edges = []
+        for e in self._edges:
+            nx, ny = e.normal.as_ints()
+            if ny == 0:
+                continue
+            # <n, p> <= num/den over t * P is den*nx*x + den*ny*y <= num*t
+            num, den = e.offset.numerator, e.offset.denominator
+            lo, hi = sorted((int(D * e.start.x), int(D * e.end.x)))
+            edges.append((lo, hi, den * abs(ny), den * nx, num))
+        xs = [int(D * v.x) for v in self.vertices]
+        return D, min(xs), max(xs), tuple(edges)
+
     def edges(self) -> tuple[Edge, ...]:
         """Edges in counterclockwise order, starting at the first vertex."""
         return self._edges
@@ -219,15 +241,7 @@ def edge_vector_from_normals(
     determinant positive.  The result equals end - start of edge i when
     edges are indexed counterclockwise.
     """
-    n = len(normals)
-    um, u, up = normals[(i - 1) % n], normals[i % n], normals[(i + 1) % n]
-    cm, c, cp = (Fraction(offsets[(i + k) % n]) for k in (-1, 0, 1))
-    d_mi = det2(um, u)
-    d_ip = det2(u, up)
-    if d_mi <= 0 or d_ip <= 0:
-        raise NotConvexOrderError("consecutive normal determinants must be positive")
-    coeff = (cm * d_ip - c * det2(um, up) + cp * d_mi) / (d_mi * d_ip)
-    return coeff * u.perp()
+    return edge_lattice_length_from_normals(normals, offsets, i) * normals[i % len(normals)].perp()
 
 
 def edge_lattice_length_from_normals(

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Vec2, rat_ceil, rat_floor
+from .counting import lattice_progression
+from .exact import rat_ceil, rat_floor
 from .polygon import RationalPolygon
 
 
@@ -46,8 +47,8 @@ def render_svg(P: RationalPolygon, scale: int = 48, margin: int = 1) -> str:
     )
     boundary = set()
     for e in P.edges():
-        for x, y in _segment_points(e.start, e.end):
-            boundary.add((x, y))
+        (x0, y0), (dx, dy), n = lattice_progression(e.start, e.end)
+        boundary.update((x0 + k * dx, y0 + k * dy) for k in range(n))
     for gx in range(gx0, gx1 + 1):
         for gy in range(gy0, gy1 + 1):
             if (gx, gy) in boundary:
@@ -63,19 +64,3 @@ def render_svg(P: RationalPolygon, scale: int = 48, margin: int = 1) -> str:
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def _segment_points(a: Vec2, b: Vec2) -> list[tuple[int, int]]:
-    pts = []
-    if a.x == b.x:
-        if a.x.denominator == 1:
-            lo, hi = min(a.y, b.y), max(a.y, b.y)
-            pts = [(int(a.x), y) for y in range(rat_ceil(lo), rat_floor(hi) + 1)]
-        return pts
-    if a.x > b.x:
-        a, b = b, a
-    slope = (b.y - a.y) / (b.x - a.x)
-    for x in range(rat_ceil(a.x), rat_floor(b.x) + 1):
-        y = a.y + (x - a.x) * slope
-        if y.denominator == 1:
-            pts.append((x, int(y)))
-    return pts

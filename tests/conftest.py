@@ -1,8 +1,10 @@
-"""Shared fixtures: brute-force counting oracles and random generators.
+"""Shared fixtures: counting oracles and random generators.
 
 The brute counters decide membership point by point with half-plane
 tests over the bounding box, deliberately sharing no code with the
-column-scan counters they check.
+floor-sum counter they check.  The column scan `_count_total_python`
+is the second oracle: it bounds each column of the dilate directly
+instead of summing floors edge by edge.
 """
 
 from __future__ import annotations
@@ -30,6 +32,34 @@ def brute_counts(P: RationalPolygon, t: int = 1) -> tuple[int, int, int]:
                 if any(v == c for v, c in vals):
                     boundary += 1
     return total, boundary, total - boundary
+
+
+def _count_total_python(P: RationalPolygon, t: int) -> int:
+    """Lattice points in t*P by a column scan over integer x.
+
+    Each facet <n, p> <= c with c = num/den becomes the integer
+    inequality den*n_x*X + den*n_y*Y <= num*t for the dilate t.
+    Vertical facets (n_y = 0) only delimit the x-range, which the
+    vertex extremes already encode, so they are dropped.
+    """
+    uppers, lowers = [], []
+    for e in P.edges():
+        nx, ny = e.normal.as_ints()
+        num, den = e.offset.numerator, e.offset.denominator
+        a, b, c = den * nx, den * ny, num
+        if b > 0:
+            uppers.append((a, b, c))
+        elif b < 0:
+            lowers.append((a, b, c))
+    xmin, xmax, _, _ = P.bounding_box()
+    total = 0
+    for x in range(rat_ceil(t * xmin), rat_floor(t * xmax) + 1):
+        hi = min((c * t - a * x) // b for a, b, c in uppers)
+        # ceil(A/b) for b < 0 is -(A // -b)
+        lo = max(-((c * t - a * x) // -b) for a, b, c in lowers)
+        if hi >= lo:
+            total += hi - lo + 1
+    return total
 
 
 def brute_segment_points(a: Vec2, b: Vec2) -> int:

@@ -36,6 +36,12 @@ def test_certify_bad_input_exit_two(tmp_path, capsys):
     collinear.write_text(json.dumps({"vertices": [["0", "0"], ["1", "1"], ["2", "2"]]}))
     assert main(["certify", str(collinear)]) == 2
     assert main(["certify", str(tmp_path / "missing.json")]) == 2
+    zero_den = tmp_path / "zero_den.json"
+    zero_den.write_text(json.dumps({"vertices": [["1/0", "0"], ["1", "0"], ["0", "1"]]}))
+    assert main(["certify", str(zero_den)]) == 2
+    numbers = tmp_path / "numbers.json"
+    numbers.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1]]}))
+    assert main(["certify", str(numbers)]) == 2
 
 
 def test_vieta_reduced(capsys):

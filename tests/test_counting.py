@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from pipgeom.constructions import (
     construct_pip,
@@ -11,18 +13,18 @@ from pipgeom.constructions import (
 )
 from pipgeom.counting import (
     CountReport,
-    _count_total_python,
     count_boundary,
     count_interior,
     count_report,
     count_total,
+    lattice_progression,
     segment_lattice_points,
 )
 from pipgeom.exact import AffineMap, IntMat2, Vec2
-from pipgeom.polygon import hull
+from pipgeom.polygon import DegenerateHullError, hull
 from pipgeom.vieta import VietaSolution
 
-from conftest import brute_counts, brute_segment_points, random_polygon
+from conftest import _count_total_python, brute_counts, brute_segment_points, random_polygon
 
 UNIT_SQUARE = hull([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
 T111 = t_xyz(VietaSolution(1, 1, 1, 9))
@@ -62,6 +64,42 @@ def test_python_and_fast_paths_agree(rng):
         P = random_polygon(rng)
         for t in (1, 3, 11):
             assert count_total(P, t) == _count_total_python(P, t)
+
+
+coords = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@given(st.lists(st.tuples(coords, coords), min_size=3, max_size=7), st.integers(1, 50))
+def test_count_total_matches_column_scan(points, t):
+    try:
+        P = hull(points)
+    except DegenerateHullError:
+        assume(False)
+    assert count_total(P, t) == _count_total_python(P, t)
+
+
+def test_count_total_beyond_int64(rng):
+    # Ehrhart polynomial of an integral polygon: area*t^2 + (B/2)*t + 1
+    shift = Vec2(2**70 + 3, -(2**70) - 5)
+    for _ in range(10):
+        P = random_polygon(rng, max_den=1).translate(shift)
+        B = sum(e.lattice_length() for e in P.edges())
+        for t in (1, 7, 999, 10**6):
+            assert count_total(P, t) == P.area * t * t + B / 2 * t + 1
+
+
+def test_lattice_progression_lists_the_segment_points(rng):
+    for _ in range(100):
+        a = Vec2(F(rng.randint(-9, 9), rng.randint(1, 3)), F(rng.randint(-9, 9), rng.randint(1, 3)))
+        b = Vec2(F(rng.randint(-9, 9), rng.randint(1, 3)), F(rng.randint(-9, 9), rng.randint(1, 3)))
+        if a == b:
+            continue
+        (x0, y0), (dx, dy), n = lattice_progression(a, b)
+        pts = {Vec2(x0 + k * dx, y0 + k * dy) for k in range(n)}
+        assert len(pts) == n == brute_segment_points(a, b)
+        for p in pts:
+            assert (b.x - a.x) * (p.y - a.y) == (b.y - a.y) * (p.x - a.x)
+            assert min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
 
 
 def test_segment_lattice_points_examples():
