@@ -9,6 +9,7 @@ rational one that is not (1) and from unusable input (2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -23,14 +24,23 @@ from .vieta import VietaSolution, enumerate_reduced, family, is_vieta_reduced, j
 
 USAGE_ERROR = 2
 
+# Largest search `verify` starts, counted in prefix entries: an n-variable
+# search with entries <= bound sums (n - 1) * C(bound + n - 2, n - 1) prefix
+# entries and sieves a divisor table of (n - 1) * bound + 1 lists.  The
+# heaviest search at the limit, n = 2 with bound 10^5, takes about a second
+# and 80 MB; the default b-sweep (bound 300) walks 90,300 entries.
+VERIFY_SEARCH_LIMIT = 10**5
+
+_VERIFY_MINIMUM = {"bound": 1, "n": 2, "depth": 0, "count": 1, "max_width": 1}
+
 
 def _emit(payload: dict, started: float) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"elapsed_ms={int((time.time() - started) * 1000)}", file=sys.stderr)
+    print(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr)
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.perf_counter()
     try:
         with open(args.polygon_file) as fh:
             data = json.load(fh)
@@ -64,7 +74,7 @@ def _solutions_table(solutions) -> str:
 
 
 def _cmd_vieta(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if not 1 <= args.b <= 9:
         print("error: --b must be in 1..9", file=sys.stderr)
         return USAGE_ERROR
@@ -112,7 +122,7 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.perf_counter()
     try:
         params = tuple(int(v) for v in args.params.split(",")) if args.params else ()
         P = build(ConstructionSpec(args.family, params))
@@ -127,16 +137,49 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
+def _search_exceeds_limit(n: int, bound: int) -> bool:
+    """Whether (n - 1) * C(bound + n - 2, n - 1) exceeds VERIFY_SEARCH_LIMIT.
+
+    C(m, i) grows with i up to m / 2, so the binomial is built up one
+    factor at a time and abandoned once it passes the limit; huge n or
+    bound are refused after a few multiplications.
+    """
+    m, count = bound + n - 2, 1
+    for i in range(min(n - 1, bound - 1)):
+        if (n - 1) * count > VERIFY_SEARCH_LIMIT:
+            return True
+        count = count * (m - i) // (i + 1)
+    return (n - 1) * count > VERIFY_SEARCH_LIMIT
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if args.suite not in SUITES:
         print(f"error: unknown suite {args.suite!r}; known: {sorted(SUITES)}", file=sys.stderr)
         return USAGE_ERROR
+    for name, least in _VERIFY_MINIMUM.items():
+        value = getattr(args, name)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return USAGE_ERROR
     kwargs = {}
+    search = None
     if args.suite == "b-sweep" and args.bound is not None:
         kwargs["bound"] = args.bound
+        search = (3, args.bound)
     if args.suite == "nvar-bound" and args.n is not None:
-        kwargs["cases"] = ((args.n, args.bound or 40, args.n * args.n),)
+        bound = 40 if args.bound is None else args.bound
+        kwargs["cases"] = ((args.n, bound, args.n * args.n),)
+        search = (args.n, bound)
+    if search is not None and _search_exceeds_limit(*search):
+        n, bound = search
+        print(
+            f"error: a search over {n}-tuples with entries <= {bound} exceeds "
+            f"VERIFY_SEARCH_LIMIT = {VERIFY_SEARCH_LIMIT} prefix entries",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
     if args.suite == "family-grid":
         if args.depth is not None:
             kwargs["depth"] = args.depth
@@ -148,10 +191,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for line in result.lines():
         print(line)
     print(f"suite {result.name}: {'pass' if result.passed else 'FAIL'}")
-    print(f"elapsed_ms={int((time.time() - started) * 1000)}", file=sys.stderr)
+    print(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr)
     return 0 if result.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pipgeom",

@@ -11,6 +11,7 @@ generalization of the bound b <= n^2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable
@@ -198,19 +199,43 @@ def family(seed: VietaSolution, j_max: int) -> list[FamilyState]:
     return states
 
 
+def _square_divisors(limit: int, bound: int) -> list[list[int]]:
+    """divs[s] = the ascending d <= bound with d | s^2, for 0 <= s <= limit.
+
+    Write d = a^2 * c with c squarefree.  Then d | s^2 exactly when
+    k(d) = a * c = d / a divides s, so each d is sieved onto the
+    multiples of k(d); the largest such a comes from a sieve over the
+    squares.  Taking d in increasing order keeps every list sorted.
+    """
+    root = [1] * (bound + 1)  # root[d] = the largest a with a^2 | d
+    for a in range(2, math.isqrt(max(bound, 0)) + 1):
+        root[a * a :: a * a] = [a] * (bound // (a * a))
+    divs: list[list[int]] = [[] for _ in range(limit + 1)]
+    for d in range(1, bound + 1):
+        for s in range(0, limit + 1, d // root[d]):
+            divs[s].append(d)
+    return divs
+
+
 def solution_b_sweep(bound: int) -> dict[int, tuple[int, int, int]]:
     """Map each attained b-value to its first witness triple.
 
-    Scans all 1 <= x <= y <= z <= bound with xyz | (x+y+z)^2.  Written
-    as a bare triple loop because the sweep bound in the acceptance
-    suite makes this the hottest pure-Python search in the package.
+    Finds, in lexicographic order, every 1 <= x <= y <= z <= bound with
+    xyz | (x+y+z)^2 and keeps the first triple per b.  An integer b
+    forces z | (x+y+z)^2, hence z | (x+y)^2, so for each (x, y) only
+    the z in [y, bound] dividing (x+y)^2 are tried; every other z fails
+    that necessary condition, which keeps the search complete up to
+    the bound.  The full divisibility test still decides each
+    candidate.
     """
+    divs = _square_divisors(2 * bound, bound)
     witnesses: dict[int, tuple[int, int, int]] = {}
     for x in range(1, bound + 1):
         for y in range(x, bound + 1):
             xy = x * y
             sxy = x + y
-            for z in range(y, bound + 1):
+            zs = divs[sxy]
+            for z in zs[bisect_left(zs, y) :]:
                 s = sxy + z
                 if (s * s) % (xy * z) == 0:
                     witnesses.setdefault((s * s) // (xy * z), (x, y, z))
@@ -279,6 +304,13 @@ class GeneralBoundReport:
 def verify_general_bound(n: int, search_bound: int) -> GeneralBoundReport:
     """Exhaust sorted n-tuples up to search_bound and check b <= n^2.
 
+    The tuples are visited in lexicographic order.  An integer b forces
+    the last entry v to divide (R + v)^2, hence R^2, where R is the sum
+    of the first n - 1 entries; so for each sorted prefix only the v in
+    [prefix[-1], search_bound] dividing R^2 are tried, and no solution
+    up to the bound is skipped.  Each candidate is then decided by
+    `tuple_b_value`.
+
     Also reduces every solution found and confirms the reduced form has
     its largest entry bounded by the sum of the others.  The search is
     complete only up to the given bound; no completeness of the b-value
@@ -286,14 +318,18 @@ def verify_general_bound(n: int, search_bound: int) -> GeneralBoundReport:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    divs = _square_divisors((n - 1) * search_bound, search_bound)
     solutions = []
-    for combo in combinations_with_replacement(range(1, search_bound + 1), n):
-        b = tuple_b_value(combo)
-        if b is None:
-            continue
-        if b > n * n:
-            raise BoundViolationError(f"{combo} gives b={b} > n^2={n * n}")
-        solutions.append(NTuple(combo, b))
+    for prefix in combinations_with_replacement(range(1, search_bound + 1), n - 1):
+        lasts = divs[sum(prefix)]
+        for v in lasts[bisect_left(lasts, prefix[-1]) :]:
+            combo = prefix + (v,)
+            b = tuple_b_value(combo)
+            if b is None:
+                continue
+            if b > n * n:
+                raise BoundViolationError(f"{combo} gives b={b} > n^2={n * n}")
+            solutions.append(NTuple(combo, b))
     all_reduce = True
     for t in solutions:
         r = reduce_tuple(t)

@@ -5,17 +5,22 @@ tests over the bounding box, deliberately sharing no code with the
 floor-sum counter they check.  The column scan `_count_total_python`
 is the second oracle: it bounds each column of the dilate directly
 instead of summing floors edge by edge.
+
+The Vieta oracles `brute_b_sweep` and `brute_general_bound` visit
+every sorted tuple up to the bound, with no divisor pruning.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from pipgeom.exact import IntMat2, Vec2, rat_ceil, rat_floor
 from pipgeom.polygon import DegenerateHullError, RationalPolygon, hull
+from pipgeom.vieta import NTuple, tuple_b_value
 
 
 def brute_counts(P: RationalPolygon, t: int = 1) -> tuple[int, int, int]:
@@ -73,6 +78,28 @@ def brute_segment_points(a: Vec2, b: Vec2) -> int:
             if cross == 0 and within:
                 count += 1
     return count
+
+
+def brute_b_sweep(bound: int) -> dict[int, tuple[int, int, int]]:
+    """First witness per b over every 1 <= x <= y <= z <= bound, in order."""
+    witnesses: dict[int, tuple[int, int, int]] = {}
+    for x in range(1, bound + 1):
+        for y in range(x, bound + 1):
+            for z in range(y, bound + 1):
+                s = x + y + z
+                if (s * s) % (x * y * z) == 0:
+                    witnesses.setdefault((s * s) // (x * y * z), (x, y, z))
+    return witnesses
+
+
+def brute_general_bound(n: int, bound: int) -> tuple[NTuple, ...]:
+    """Every sorted n-tuple with entries <= bound and integer b, in order."""
+    solutions = []
+    for combo in combinations_with_replacement(range(1, bound + 1), n):
+        b = tuple_b_value(combo)
+        if b is not None:
+            solutions.append(NTuple(combo, b))
+    return tuple(solutions)
 
 
 def random_polygon(rng: random.Random, span: int = 6, max_den: int = 3) -> RationalPolygon:

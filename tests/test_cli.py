@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pipgeom.cli import main
+from pipgeom.cli import VERIFY_SEARCH_LIMIT, main
 from pipgeom.constructions import fibonacci_triangle, octagon_empty_boundary
 from pipgeom.polygon import RationalPolygon
 
@@ -149,3 +149,51 @@ def test_certify_output_parses_as_polygon(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     P = RationalPolygon.from_json_dict(payload)
     assert len(P.vertices) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "nvar-bound", "--n", "1"],
+        ["--suite", "nvar-bound", "--n", "0"],
+        ["--suite", "properties", "--count", "-1"],
+        ["--suite", "b-sweep", "--bound", "0"],
+        ["--suite", "family-grid", "--depth", "-1"],
+        ["--suite", "nvar-bound", "--n", "3", "--bound", "0"],
+    ],
+)
+def test_verify_malformed_parameters_exit_two(argv, capsys):
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "b-sweep", "--bound", "316"],
+        ["--suite", "nvar-bound", "--n", "2", "--bound", "100001"],
+        ["--suite", "nvar-bound", "--n", "100002", "--bound", "1"],
+        ["--suite", "nvar-bound", "--n", str(10**18), "--bound", str(10**18)],
+        ["--suite", "nvar-bound", "--n", "3", "--bound", str(10**100)],
+    ],
+)
+def test_verify_refuses_oversized_search_up_front(argv, capsys, monkeypatch):
+    def search_started(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr("pipgeom.vieta.solution_b_sweep", search_started)
+    monkeypatch.setattr("pipgeom.vieta.verify_general_bound", search_started)
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"VERIFY_SEARCH_LIMIT = {VERIFY_SEARCH_LIMIT}" in captured.err
+
+
+def test_verify_search_at_the_limit_runs(capsys):
+    # 2 * C(316, 2) = 99,540 prefix entries; bound 316 gives 100,172
+    assert main(["verify", "--suite", "b-sweep", "--bound", "315"]) == 0
+    assert "suite b-sweep: pass" in capsys.readouterr().out
+    assert main(["verify", "--suite", "nvar-bound", "--n", "3", "--bound", "1"]) == 0
+    assert "max b = 9" in capsys.readouterr().out

@@ -6,6 +6,7 @@ from pipgeom.vieta import (
     BoundViolationError,
     NTuple,
     VietaSolution,
+    _square_divisors,
     all_reduced_solutions,
     enumerate_reduced,
     family,
@@ -19,6 +20,8 @@ from pipgeom.vieta import (
     vieta_jump,
     vieta_reduce,
 )
+
+from conftest import brute_b_sweep, brute_general_bound
 
 TABLE = {
     1: {(5, 20, 25), (6, 12, 18), (8, 8, 16), (9, 9, 9)},
@@ -212,6 +215,32 @@ def test_solution_b_sweep_small():
     assert set(witnesses) <= {1, 2, 3, 4, 5, 6, 8, 9}
     assert witnesses[9] == (1, 1, 1)
     assert 7 not in witnesses
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 7, 40])
+def test_square_divisors_match_brute(bound):
+    limit = 3 * bound
+    divs = _square_divisors(limit, bound)
+    assert len(divs) == limit + 1
+    for s, got in enumerate(divs):
+        assert got == [d for d in range(1, bound + 1) if s * s % d == 0]
+
+
+def test_solution_b_sweep_matches_brute():
+    for bound in range(-1, 81):
+        assert list(solution_b_sweep(bound).items()) == list(brute_b_sweep(bound).items())
+
+
+@pytest.mark.parametrize("n, max_bound", [(2, 60), (3, 30), (4, 12), (5, 8)])
+def test_verify_general_bound_matches_brute(n, max_bound):
+    for bound in range(-1, max_bound + 1):
+        report = verify_general_bound(n, bound)
+        expected = brute_general_bound(n, bound)
+        assert report.solutions == expected
+        assert report.b_values == frozenset(t.b for t in expected)
+        assert report.max_b == max((t.b for t in expected), default=0)
+        reduced = [reduce_tuple(t).values for t in expected]
+        assert report.all_reduce == all(r[-1] <= sum(r[:-1]) for r in reduced)
 
 
 def test_tuple_b_value_and_ntuple():
