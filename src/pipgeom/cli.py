@@ -31,7 +31,23 @@ USAGE_ERROR = 2
 # and 80 MB; the default b-sweep (bound 300) walks 90,300 entries.
 VERIFY_SEARCH_LIMIT = 10**5
 
+# Largest certification `certify` starts, as denominator D times edges:
+# the residue fits make 4*D count calls of one floor sum per edge.  The
+# Fibonacci triangle j = 7 (D = 142,130, 426,390 at 3 edges) takes about
+# 6 s; a D of 10^9 would take hours.
+CERTIFY_WORK_LIMIT = 5 * 10**5
+
 _VERIFY_MINIMUM = {"bound": 1, "n": 2, "depth": 0, "count": 1, "max_width": 1}
+
+# The flags each suite reads, each mapped to the suite's keyword argument
+# (None for nvar-bound, which folds --n and --bound into one case).  Any
+# other numeric flag is refused.
+_SUITE_FLAGS = {
+    "b-sweep": {"bound": "bound"},
+    "nvar-bound": {"n": None, "bound": None},
+    "family-grid": {"depth": "depth", "max_width": "width_cap"},
+    "properties": {"count": "count"},
+}
 
 
 def _emit(payload: dict, started: float) -> None:
@@ -47,6 +63,14 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         P = RationalPolygon.from_json_dict(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot read polygon: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    work = P.denominator * len(P.vertices)
+    if work > CERTIFY_WORK_LIMIT:
+        print(
+            f"error: denominator {P.denominator} times {len(P.vertices)} edges is {work}, "
+            f"over CERTIFY_WORK_LIMIT = {CERTIFY_WORK_LIMIT}",
+            file=sys.stderr,
+        )
         return USAGE_ERROR
     cert = is_pseudointegral(P)
     _emit(
@@ -157,16 +181,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite not in SUITES:
         print(f"error: unknown suite {args.suite!r}; known: {sorted(SUITES)}", file=sys.stderr)
         return USAGE_ERROR
+    read = _SUITE_FLAGS.get(args.suite, {})
     for name, least in _VERIFY_MINIMUM.items():
         value = getattr(args, name)
-        if value is not None and value < least:
-            flag = "--" + name.replace("_", "-")
+        if value is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if name not in read:
+            print(f"error: suite {args.suite} does not read {flag}", file=sys.stderr)
+            return USAGE_ERROR
+        if value < least:
             print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return USAGE_ERROR
-    kwargs = {}
+    if args.suite == "nvar-bound" and args.bound is not None and args.n is None:
+        print("error: suite nvar-bound reads --bound only together with --n", file=sys.stderr)
+        return USAGE_ERROR
+    kwargs = {kw: getattr(args, name) for name, kw in read.items() if kw and getattr(args, name) is not None}
     search = None
     if args.suite == "b-sweep" and args.bound is not None:
-        kwargs["bound"] = args.bound
         search = (3, args.bound)
     if args.suite == "nvar-bound" and args.n is not None:
         bound = 40 if args.bound is None else args.bound
@@ -180,13 +212,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
-    if args.suite == "family-grid":
-        if args.depth is not None:
-            kwargs["depth"] = args.depth
-        if args.max_width is not None:
-            kwargs["width_cap"] = args.max_width
-    if args.suite == "properties" and args.count is not None:
-        kwargs["count"] = args.count
     result = SUITES[args.suite](**kwargs)
     for line in result.lines():
         print(line)

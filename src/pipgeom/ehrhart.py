@@ -1,10 +1,13 @@
 """Ehrhart quasipolynomials and pseudointegrality certificates.
 
 The lattice-point count of the dilates of a rational polygon is a
-degree-2 quasipolynomial whose period divides the polygon denominator.
-We reconstruct it residue class by residue class from exact counts:
-three samples pin the quadratic and a fourth independent sample turns
-any counting bug into a loud failure instead of a wrong certificate.
+degree-2 quasipolynomial whose period divides the polygon denominator
+D.  We reconstruct it residue class by residue class from exact counts
+at four dilates spaced D apart, in integer arithmetic: finite
+differences of the first three samples give the quadratic's
+coefficients as integers over 2*D^2, and the fourth must make the third
+difference zero, which turns any counting bug into a loud failure
+instead of a wrong certificate.
 
 A polygon is pseudointegral (a PIP) when the count function is a
 genuine polynomial, i.e. when all residue classes share one
@@ -68,38 +71,44 @@ class QuasiPolynomial:
         }
 
 
-def _fit_quadratic(samples: list[tuple[int, int]]) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact quadratic through three (t, value) points, via divided differences."""
-    (t0, n0), (t1, n1), (t2, n2) = samples
-    d1 = Fraction(n1 - n0, t1 - t0)
-    d2 = Fraction(n2 - n1, t2 - t1)
-    c2 = (d2 - d1) / (t2 - t0)
-    c1 = d1 - c2 * (t0 + t1)
-    c0 = n0 - c1 * t0 - c2 * t0 * t0
-    return c0, c1, c2
-
-
 def reconstruct_quasipolynomial(P: RationalPolygon) -> QuasiPolynomial:
     """Fit the count quasipolynomial of P with period den(P).
 
-    For residue r the quadratic is fitted at t = r, r+D, r+2D (the
-    r = 0 class uses D, 2D, 3D) and validated at one further sample.
-    A validation mismatch is impossible for a correct counter and
-    raises :class:`CountingConsistencyError`.
+    For residue r the counts n0..n3 are taken at t = t0 + k*D for
+    k = 0..3, with t0 = r (t0 = D for the r = 0 class).  The samples are
+    equally spaced, so integer finite differences give the quadratic
+    exactly: with dd = n2 - 2*n1 + n0 and
+    a1 = 2*D*(n1 - n0) - dd*(2*t0 + D), the triple is
+    (2*D^2*n0 - t0*a1 - dd*t0^2, a1, dd) / (2*D^2).  The fourth sample
+    validates the fit: its third difference must vanish, and a nonzero
+    one, impossible for a correct counter, raises
+    :class:`CountingConsistencyError`.
+
+    Residues with equal numerators share one coefficient tuple, so for
+    a PIP every class holds the same object.
     """
     D = P.denominator
+    scale = 2 * D * D
+    shared: dict[tuple[int, int, int], tuple[Fraction, Fraction, Fraction]] = {}
     triples = []
     for r in range(D):
-        ts = [D, 2 * D, 3 * D] if r == 0 else [r, r + D, r + 2 * D]
-        check_t = 4 * D if r == 0 else r + 3 * D
-        c0, c1, c2 = _fit_quadratic([(t, count_total(P, t)) for t in ts])
-        predicted = c0 + c1 * check_t + c2 * check_t * check_t
-        actual = count_total(P, check_t)
-        if predicted != actual:
+        t0 = r or D
+        n0 = count_total(P, t0)
+        n1 = count_total(P, t0 + D)
+        n2 = count_total(P, t0 + 2 * D)
+        n3 = count_total(P, t0 + 3 * D)
+        predicted = 3 * (n2 - n1) + n0
+        if n3 != predicted:
             raise CountingConsistencyError(
-                f"residue {r}: quadratic predicts {predicted} at t={check_t}, counted {actual}"
+                f"residue {r}: quadratic predicts {predicted} at t={t0 + 3 * D}, counted {n3}"
             )
-        triples.append((c0, c1, c2))
+        dd = n2 - 2 * n1 + n0
+        a1 = 2 * D * (n1 - n0) - dd * (2 * t0 + D)
+        key = (scale * n0 - t0 * a1 - dd * t0 * t0, a1, dd)
+        triple = shared.get(key)
+        if triple is None:
+            triple = shared[key] = tuple(Fraction(c, scale) for c in key)
+        triples.append(triple)
     return QuasiPolynomial(period=D, coeffs=tuple(triples))
 
 

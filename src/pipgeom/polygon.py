@@ -199,8 +199,17 @@ class RationalPolygon:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RationalPolygon":
-        pts = [Vec2(parse_rational(x), parse_rational(y)) for x, y in data["vertices"]]
-        return hull(pts)
+        """Inverse of :meth:`to_json_dict`: the hull of {"vertices": [[x, y], ...]}.
+
+        Raises ValueError unless "vertices" is a list of two-entry lists
+        (a bare "xy" string would otherwise unpack as a point).
+        """
+        vertices = data["vertices"]
+        if not isinstance(vertices, (list, tuple)) or not all(
+            isinstance(v, (list, tuple)) and len(v) == 2 for v in vertices
+        ):
+            raise ValueError('"vertices" must be a list of [x, y] pairs')
+        return hull([Vec2(parse_rational(x), parse_rational(y)) for x, y in vertices])
 
 
 def hull(points: Iterable[Vec2 | tuple[Scalar, Scalar]]) -> RationalPolygon:

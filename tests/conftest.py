@@ -8,6 +8,10 @@ instead of summing floors edge by edge.
 
 The Vieta oracles `brute_b_sweep` and `brute_general_bound` visit
 every sorted tuple up to the bound, with no divisor pruning.
+
+`fraction_fit_coeffs` is the residue fit in `Fraction` arithmetic:
+divided differences through three samples per residue class, against
+which the integer finite-difference fit is checked.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from pipgeom.counting import count_total
 from pipgeom.exact import IntMat2, Vec2, rat_ceil, rat_floor
 from pipgeom.polygon import DegenerateHullError, RationalPolygon, hull
 from pipgeom.vieta import NTuple, tuple_b_value
@@ -65,6 +70,27 @@ def _count_total_python(P: RationalPolygon, t: int) -> int:
         if hi >= lo:
             total += hi - lo + 1
     return total
+
+
+def _fit_quadratic(samples: list[tuple[int, int]]) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact quadratic through three (t, value) points, via divided differences."""
+    (t0, n0), (t1, n1), (t2, n2) = samples
+    d1 = Fraction(n1 - n0, t1 - t0)
+    d2 = Fraction(n2 - n1, t2 - t1)
+    c2 = (d2 - d1) / (t2 - t0)
+    c1 = d1 - c2 * (t0 + t1)
+    c0 = n0 - c1 * t0 - c2 * t0 * t0
+    return c0, c1, c2
+
+
+def fraction_fit_coeffs(P: RationalPolygon) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+    """One quadratic per residue r mod den(P), fitted at r, r+D, r+2D (D, 2D, 3D for r = 0)."""
+    D = P.denominator
+    fits = []
+    for r in range(D):
+        ts = [D, 2 * D, 3 * D] if r == 0 else [r, r + D, r + 2 * D]
+        fits.append(_fit_quadratic([(t, count_total(P, t)) for t in ts]))
+    return tuple(fits)
 
 
 def brute_segment_points(a: Vec2, b: Vec2) -> int:

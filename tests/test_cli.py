@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pipgeom.cli import VERIFY_SEARCH_LIMIT, main
+from pipgeom.cli import CERTIFY_WORK_LIMIT, VERIFY_SEARCH_LIMIT, main
 from pipgeom.constructions import fibonacci_triangle, octagon_empty_boundary
-from pipgeom.polygon import RationalPolygon
+from pipgeom.exact import Vec2
+from pipgeom.polygon import RationalPolygon, hull
+from pipgeom.suites import SUITES
 
 
 def write_polygon(tmp_path, P, name="poly.json"):
@@ -42,6 +50,24 @@ def test_certify_bad_input_exit_two(tmp_path, capsys):
     numbers = tmp_path / "numbers.json"
     numbers.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1]]}))
     assert main(["certify", str(numbers)]) == 2
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        ["00", "10", "01"],
+        {"00": 1, "10": 2, "01": 3},
+        [["0", "0", "5"], ["1", "0", "5"], ["0", "1", "5"]],
+        [["0", "0"], ["1", "0"], "01"],
+    ],
+)
+def test_certify_vertices_not_given_as_pairs_exit_two(vertices, tmp_path, capsys):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"vertices": vertices}))
+    assert main(["certify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "[x, y] pairs" in captured.err
 
 
 def test_vieta_reduced(capsys):
@@ -197,3 +223,104 @@ def test_verify_search_at_the_limit_runs(capsys):
     assert "suite b-sweep: pass" in capsys.readouterr().out
     assert main(["verify", "--suite", "nvar-bound", "--n", "3", "--bound", "1"]) == 0
     assert "max b = 9" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--suite", "b-sweep", "--n", "7", "--depth", "3"], "--n"),
+        (["--suite", "b-sweep", "--bound", "20", "--max-width", "5"], "--max-width"),
+        (["--suite", "nvar-bound", "--bound", "5"], "--bound"),
+        (["--suite", "nvar-bound", "--n", "3", "--count", "2"], "--count"),
+        (["--suite", "reduced-table", "--bound", "3"], "--bound"),
+        (["--suite", "family-grid", "--count", "3"], "--count"),
+        (["--suite", "properties", "--depth", "1"], "--depth"),
+    ],
+)
+def test_verify_refuses_flags_the_suite_does_not_read(argv, flag, capsys, monkeypatch):
+    def suite_started(*args, **kwargs):
+        raise AssertionError("the suite started")
+
+    monkeypatch.setattr("pipgeom.cli.SUITES", dict.fromkeys(SUITES, suite_started))
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+@pytest.mark.parametrize("den", [1000000007, CERTIFY_WORK_LIMIT // 3 + 1])
+def test_certify_refuses_oversized_work_up_front(den, tmp_path, capsys, monkeypatch):
+    def certification_started(P):
+        raise AssertionError("certification started")
+
+    monkeypatch.setattr("pipgeom.cli.is_pseudointegral", certification_started)
+    path = write_polygon(tmp_path, hull([Vec2(0, 0), Vec2(1, 0), Vec2(0, Fraction(1, den))]))
+    assert main(["certify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"CERTIFY_WORK_LIMIT = {CERTIFY_WORK_LIMIT}" in captured.err
+
+
+def test_certify_work_just_under_the_limit_runs(tmp_path, capsys):
+    # conv{(0,0), (D,0), (1, (D-1)/D)} is a PIP with i = 0, b = D + 1 for every D
+    D = CERTIFY_WORK_LIMIT // 3
+    path = write_polygon(tmp_path, hull([Vec2(0, 0), Vec2(D, 0), Vec2(1, Fraction(D - 1, D))]))
+    assert main(["certify", path]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["i"], results["b"]) == (0, D + 1)
+
+
+def test_certify_work_limit_admits_fibonacci_seven():
+    T = fibonacci_triangle(7)
+    assert T.denominator == 142130
+    assert T.denominator * len(T.vertices) <= CERTIFY_WORK_LIMIT
+
+
+# rational strings with denominators <= 9 keep every well-formed polygon far under the limit
+RATIONAL_TEXT = st.from_regex(r"\A-?[0-9]{1,2}(/[0-9])?\Z")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | RATIONAL_TEXT,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.sampled_from(["vertices"]) | st.text(max_size=6), children, max_size=3),
+    max_leaves=24,
+)
+# lists of [x, y] rational-string pairs, some with other values mixed in, so
+# that well-formed polygons occur too
+PAIR = st.lists(RATIONAL_TEXT, min_size=2, max_size=2)
+POLYGON_SHAPED = st.fixed_dictionaries(
+    {"vertices": st.lists(PAIR, max_size=6) | st.lists(PAIR | JSON_VALUES, max_size=6)}
+)
+
+
+def _well_formed(data) -> bool:
+    """Whether data is {"vertices": [[x, y], ...]} with rational strings spanning the plane."""
+    if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
+        return False
+    points = []
+    for vertex in data["vertices"]:
+        if not (isinstance(vertex, list) and len(vertex) == 2 and all(isinstance(c, str) for c in vertex)):
+            return False
+        try:
+            points.append([Fraction(c.strip()) for c in vertex])
+        except (ValueError, ZeroDivisionError):
+            return False
+    return any(
+        (bx - ax) * (cy - ay) != (by - ay) * (cx - ax)
+        for (ax, ay), (bx, by), (cx, cy) in combinations(points, 3)
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(JSON_VALUES | POLYGON_SHAPED)
+def test_certify_fuzz_malformed_input_exits_two(tmp_path, data):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["certify", str(path)])
+    if _well_formed(data):
+        assert code in (0, 1)
+        assert json.loads(out.getvalue())["command"] == "certify"
+    else:
+        assert code == 2
+        assert out.getvalue() == ""

@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import random
+
 import pytest
 
 from pipgeom.constructions import (
@@ -20,7 +22,7 @@ from pipgeom.exact import AffineMap, Vec2
 from pipgeom.polygon import hull
 from pipgeom.vieta import VietaSolution
 
-from conftest import random_polygon, random_unimodular
+from conftest import fraction_fit_coeffs, random_polygon, random_unimodular
 
 UNIT_SQUARE = hull([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
 
@@ -151,3 +153,59 @@ def test_certificate_json_shapes():
     non = is_pseudointegral(fourgon_distance_two()).to_json_dict()
     assert non["is_pip"] is False and non["period"] == 3
     assert "witness_residues" in non and "i" not in non
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        fibonacci_triangle(1),
+        fibonacci_triangle(2),
+        fibonacci_triangle(3),
+        fourgon_distance_two(),
+        octagon_empty_boundary(),
+    ],
+    ids=["fibonacci-1", "fibonacci-2", "fibonacci-3", "fourgon", "octagon"],
+)
+def test_integer_fit_matches_fraction_oracle(P):
+    assert reconstruct_quasipolynomial(P).coeffs == fraction_fit_coeffs(P)
+
+
+@pytest.mark.parametrize("max_den", [1, 2, 3, 4])
+def test_integer_fit_matches_fraction_oracle_random(max_den):
+    rng = random.Random(4100 + max_den)
+    verdicts = set()
+    for _ in range(25):
+        P = random_polygon(rng, span=4, max_den=max_den)
+        qp = reconstruct_quasipolynomial(P)
+        assert qp.coeffs == fraction_fit_coeffs(P)
+        verdicts.add(qp.is_polynomial)
+    # integral polygons are PIPs; with denominators non-PIPs, which list every residue, occur
+    if max_den == 1:
+        assert verdicts == {True}
+    else:
+        assert False in verdicts
+
+
+def test_pip_residues_share_one_triple():
+    qp = reconstruct_quasipolynomial(fibonacci_triangle(2))
+    assert qp.period == 10
+    assert all(c is qp.coeffs[0] for c in qp.coeffs)
+
+
+@pytest.mark.parametrize("sample", [0, 3])
+def test_poisoned_sample_names_its_residue(monkeypatch, sample):
+    import pipgeom.ehrhart as ehrhart_mod
+    from pipgeom.counting import count_total as real_count
+    from pipgeom.ehrhart import CountingConsistencyError
+
+    P = fourgon_distance_two()
+    D, r = P.denominator, 2
+    poisoned_t = r + sample * D
+
+    def corrupted(Q, t=1):
+        value = real_count(Q, t)
+        return value - 1 if t == poisoned_t else value
+
+    monkeypatch.setattr(ehrhart_mod, "count_total", corrupted)
+    with pytest.raises(CountingConsistencyError, match=rf"^residue {r}: .* at t={r + 3 * D},"):
+        ehrhart_mod.reconstruct_quasipolynomial(P)
