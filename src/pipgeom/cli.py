@@ -61,6 +61,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         with open(args.polygon_file) as fh:
             data = json.load(fh)
         P = RationalPolygon.from_json_dict(data)
+    except RecursionError:
+        # json.load recurses once per level of nesting
+        print("error: cannot read polygon: JSON nested too deeply", file=sys.stderr)
+        return USAGE_ERROR
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot read polygon: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -8,6 +8,14 @@ sum of floors of one linear function over the integer x-range that edge
 spans.  Such a floor sum has a Euclid-style recursion (the lattice-point
 sums of Beck & Robins, *Computing the Continuous Discretely*, ch. 1-2),
 so one count costs O(edges * log(size)) big-int steps at any dilate.
+
+Boundary counts need no floor sums.  On the edge from A to B of D * P
+(integer vertices, primitive step s), the lattice points of the line of
+the dilated edge exist only when the offset's reduced denominator den
+divides t.  Then an integer w with <w, s> = 1 numbers them by
+consecutive integers, so the closed edge of t * P holds
+floor(t*<w, B>/D) - ceil(t*<w, A>/D) + 1 of them: O(edges) integer steps
+per count.
 """
 
 from __future__ import annotations
@@ -67,10 +75,11 @@ def count_total(P: RationalPolygon, t: int = 1) -> int:
     """Number of lattice points in the closed dilate t * P (t >= 1)."""
     if t < 1:
         raise ValueError("dilation factor must be >= 1")
-    D, x_lo, x_hi, edges = P.column_sums
-    first_column = -(-t * x_lo // D)
+    table = P.edge_table
+    D, x_hi = table.denominator, table.x_hi
+    first_column = -(-t * table.x_lo // D)
     total = t * x_hi // D - first_column + 1
-    for lo, hi, m, a, c in edges:
+    for lo, hi, m, a, c in table.columns:
         start = -(-t * lo // D)
         # half-open x-ranges, except that the column at floor(t * xmax)
         # belongs to the edge of each chain that ends there
@@ -115,16 +124,21 @@ def segment_lattice_points(a: Vec2, b: Vec2) -> int:
 def count_boundary(P: RationalPolygon, t: int = 1) -> int:
     """Number of lattice points on the boundary of t * P.
 
-    Sums closed per-edge counts, then removes the double count at
-    lattice vertices (each lies on exactly two closed edges).
+    Per edge of `P.edge_table`, the lattice points of the edge's line
+    exist only when den divides t, and then <w, .> numbers them by
+    consecutive integers, so the closed edge of t * P holds
+    floor(t*<w, B>/D) - ceil(t*<w, A>/D) + 1 of them.  Each lattice
+    vertex (q_v divides t) lies on two closed edges and is counted once.
     """
     if t < 1:
         raise ValueError("dilation factor must be >= 1")
+    table = P.edge_table
+    D = table.denominator
     total = 0
-    for e in P.edges():
-        total += segment_lattice_points(t * e.start, t * e.end)
-    lattice_vertices = sum(1 for v in P.vertices if (t * v).is_integral)
-    return total - lattice_vertices
+    for den, wa, wb in table.boundary:
+        if t % den == 0:
+            total += t * wb // D + (-t * wa) // D + 1
+    return total - sum(1 for q in table.vertex_periods if t % q == 0)
 
 
 def count_interior(P: RationalPolygon, t: int = 1) -> int:

@@ -107,7 +107,8 @@ def reconstruct_quasipolynomial(P: RationalPolygon) -> QuasiPolynomial:
         key = (scale * n0 - t0 * a1 - dd * t0 * t0, a1, dd)
         triple = shared.get(key)
         if triple is None:
-            triple = shared[key] = tuple(Fraction(c, scale) for c in key)
+            # from a list: tuple() of a generator would leave a resized tuple on a free list
+            triple = shared[key] = tuple([Fraction(c, scale) for c in key])
         triples.append(triple)
     return QuasiPolynomial(period=D, coeffs=tuple(triples))
 

@@ -10,10 +10,13 @@ and any rounding would invalidate them.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 Scalar = int | Fraction
+
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def rat_floor(q: Scalar) -> int:
@@ -37,16 +40,22 @@ def format_rational(q: Scalar) -> str:
 def parse_rational(s: str) -> Fraction:
     """Inverse of :func:`format_rational`; accepts "p" and "p/q".
 
-    Raises ValueError for anything but a string (format_rational always
-    writes strings, so bare JSON numbers are rejected) and for a zero
-    denominator.
+    The grammar is optional whitespace, an optional sign, ASCII digits
+    and an optional "/digits".  Anything else raises ValueError: a
+    non-string (format_rational always writes strings, so bare JSON
+    numbers are rejected), decimals, exponents and underscores (which
+    `Fraction` would take, so "1e-1000000000" would build a billion-digit
+    denominator), and a zero denominator.
     """
     if not isinstance(s, str):
         raise ValueError(f"rational must be a string like \"p/q\", got {type(s).__name__}")
-    try:
-        return Fraction(s.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        raise ValueError(f"rational must look like \"p\" or \"p/q\", got {s!r}")
+    num, den = m.group(1), int(m.group(2) or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(int(num), den)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,15 @@
 Polygons are stored in a canonical form (counterclockwise, starting at
 the lexicographically least vertex) so that equality is structural and
 fixtures are stable.  Construction goes through :func:`hull`, a
-monotone-chain hull with an exact rational orientation predicate;
-collinear and interior points are absorbed.
+monotone-chain hull whose orientation tests run on the points scaled to
+integers; collinear and interior points are absorbed.
+
+Vertices are `Fraction`s, but everything derived from the edges comes
+from one integer table, `RationalPolygon.edge_table`, built from the
+vertices V = D * v of D * P for the denominator D: each edge's primitive
+outer normal and offset, the floor-sum rows that `counting.count_total`
+sums, and the boundary rows from which `counting.count_boundary` reads
+the lattice points on each edge of a dilate.
 """
 
 from __future__ import annotations
@@ -13,9 +20,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .exact import AffineMap, Scalar, Vec2, det2, format_rational, parse_rational, primitive
+from .exact import AffineMap, Scalar, Vec2, det2, format_rational, parse_rational
 
 
 class DegenerateHullError(ValueError):
@@ -28,6 +35,11 @@ class NotConvexOrderError(ValueError):
 
 def _cross(o: Vec2, a: Vec2, b: Vec2) -> Fraction:
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def _scaled(v: Vec2, k: int) -> tuple[int, int]:
+    """Integer coordinates of k * v, for k a multiple of both denominators of v."""
+    return v.x.numerator * (k // v.x.denominator), v.y.numerator * (k // v.y.denominator)
 
 
 def _lex_key(v: Vec2) -> tuple[Fraction, Fraction]:
@@ -64,6 +76,18 @@ def segment_lattice_length(a: Vec2, b: Vec2) -> Fraction:
     m = math.lcm(w.x.denominator, w.y.denominator)
     wx, wy = int(w.x * m), int(w.y * m)
     return Fraction(math.gcd(abs(wx), abs(wy)), m)
+
+
+class EdgeTable(NamedTuple):
+    """Integer edge data of a polygon P with denominator D; see `RationalPolygon.edge_table`."""
+
+    denominator: int
+    x_lo: int
+    x_hi: int
+    columns: tuple[tuple[int, int, int, int, int], ...]
+    boundary: tuple[tuple[int, int, int], ...]
+    vertex_periods: tuple[int, ...]
+    facets: tuple[tuple[int, int, int, int], ...]
 
 
 class RationalPolygon:
@@ -118,40 +142,66 @@ class RationalPolygon:
         return d
 
     @cached_property
-    def _edges(self) -> tuple[Edge, ...]:
-        out = []
-        vs = self.vertices
-        for i in range(len(vs)):
-            a, b = vs[i], vs[(i + 1) % len(vs)]
-            d = b - a
-            m = math.lcm(d.x.denominator, d.y.denominator)
-            dir_prim = primitive(Vec2(d.x * m, d.y * m))
-            # outward normal of a counterclockwise edge = clockwise rotation
-            normal = Vec2(dir_prim.y, -dir_prim.x)
-            out.append(Edge(a, b, normal, normal.dot(a)))
-        return tuple(out)
+    def edge_table(self) -> EdgeTable:
+        """Integer data of every edge, built from the vertices V = D * v of D * P.
 
-    @cached_property
-    def column_sums(self) -> tuple[int, int, int, tuple[tuple[int, int, int, int, int], ...]]:
-        """Integer data for counting lattice points in dilates by columns.
-
-        (D, x_lo, x_hi, edges): the denominator D, the x-extent of D * P,
-        and (lo, hi, m, a, c) per non-vertical edge.  The edge spans
-        lo/D <= x <= hi/D; at column x of t * P an upper edge gives
-        y <= (c*t - a*x) / m and a lower edge y >= -(c*t - a*x) / m.
+        For the edge from A to B, with g = gcd(B - A) and the primitive
+        step s = (B - A) / g, the outward normal is n = (s_y, -s_x) and
+        P's offset <n, A> / D reduces to num / den.  `columns` holds
+        (lo, hi, m, a, c) = (lo, hi, den*|n_y|, den*n_x, num) per
+        non-vertical edge: the edge spans lo/D <= x <= hi/D, and at column
+        x of t * P an upper edge gives y <= (c*t - a*x) / m and a lower
+        edge y >= -(c*t - a*x) / m.  `boundary` holds (den, <w, A>, <w, B>)
+        per edge, with w an integer vector and <w, s> = 1; the vertex
+        periods are q_v = D / gcd(D, V_x, V_y), the least t with t * v
+        integral.
         """
         D = self.denominator
-        edges = []
-        for e in self._edges:
-            nx, ny = e.normal.as_ints()
-            if ny == 0:
-                continue
-            # <n, p> <= num/den over t * P is den*nx*x + den*ny*y <= num*t
-            num, den = e.offset.numerator, e.offset.denominator
-            lo, hi = sorted((int(D * e.start.x), int(D * e.end.x)))
-            edges.append((lo, hi, den * abs(ny), den * nx, num))
-        xs = [int(D * v.x) for v in self.vertices]
-        return D, min(xs), max(xs), tuple(edges)
+        V = [_scaled(v, D) for v in self.vertices]
+        # lists, not generators, feed every tuple below: tuple() of a
+        # generator is resized to fit, and CPython then keeps the freed tuple
+        # on the free list of its final size, so each op would leave one more
+        facets, columns, boundary, periods = [], [], [], []
+        for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
+            periods.append(D // math.gcd(D, ax, ay))
+            g = math.gcd(bx - ax, by - ay)
+            sx, sy = (bx - ax) // g, (by - ay) // g
+            # outward normal of a counterclockwise edge = clockwise rotation
+            nx, ny = sy, -sx
+            c = nx * ax + ny * ay
+            h = math.gcd(c, D)
+            num, den = c // h, D // h
+            facets.append((nx, ny, num, den))
+            if ny:
+                lo, hi = (ax, bx) if ax <= bx else (bx, ax)
+                columns.append((lo, hi, den * abs(ny), den * nx, num))
+            # w = (u, v) with u*sx + v*sy = 1
+            if sy:
+                u = pow(sx, -1, abs(sy))
+                v = (1 - u * sx) // sy
+            else:
+                u, v = sx, 0
+            boundary.append((den, u * ax + v * ay, u * bx + v * by))
+        xs = [x for x, _ in V]
+        return EdgeTable(
+            D,
+            min(xs),
+            max(xs),
+            tuple(columns),
+            tuple(boundary),
+            tuple(periods),
+            tuple(facets),
+        )
+
+    @cached_property
+    def _edges(self) -> tuple[Edge, ...]:
+        vs = self.vertices
+        return tuple(
+            [
+                Edge(a, b, Vec2(nx, ny), Fraction(num, den))
+                for a, b, (nx, ny, num, den) in zip(vs, vs[1:] + vs[:1], self.edge_table.facets)
+            ]
+        )
 
     def edges(self) -> tuple[Edge, ...]:
         """Edges in counterclockwise order, starting at the first vertex."""
@@ -215,30 +265,37 @@ class RationalPolygon:
 def hull(points: Iterable[Vec2 | tuple[Scalar, Scalar]]) -> RationalPolygon:
     """Canonical convex hull of a rational point set.
 
-    Monotone chain with exact orientation tests; interior points and
-    points on edges are absorbed.  Raises :class:`DegenerateHullError`
-    when the points do not span dimension 2.
+    Monotone chain with exact orientation tests on the integer points
+    L * p, where L is the lcm of the coordinate denominators; interior
+    points and points on edges are absorbed.  Raises
+    :class:`DegenerateHullError` when the points do not span dimension 2.
     """
-    pts = sorted(
-        {p if isinstance(p, Vec2) else Vec2(*p) for p in points},
-        key=_lex_key,
-    )
+    vecs = [p if isinstance(p, Vec2) else Vec2(*p) for p in points]
+    L = math.lcm(*[q.denominator for v in vecs for q in (v.x, v.y)])
+    # scaling by L > 0 keeps the lexicographic order and the orientations
+    scaled = {_scaled(v, L): v for v in vecs}
+    pts = sorted(scaled)
     if len(pts) < 3:
         raise DegenerateHullError("hull needs at least 3 distinct points")
-    lower: list[Vec2] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Vec2] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
+    lower = _chain(pts)
+    upper = _chain(reversed(pts))
     vs = lower[:-1] + upper[:-1]
     if len(vs) < 3:
         raise DegenerateHullError("points are collinear")
-    return RationalPolygon(vs)
+    return RationalPolygon([scaled[p] for p in vs])
+
+
+def _chain(pts: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """One monotone chain: the points kept while every turn is strictly left."""
+    out: list[tuple[int, int]] = []
+    for x, y in pts:
+        while len(out) >= 2:
+            (ox, oy), (ax, ay) = out[-2], out[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                break
+            out.pop()
+        out.append((x, y))
+    return out
 
 
 def edge_vector_from_normals(

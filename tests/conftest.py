@@ -12,18 +12,25 @@ every sorted tuple up to the bound, with no divisor pruning.
 `fraction_fit_coeffs` is the residue fit in `Fraction` arithmetic:
 divided differences through three samples per residue class, against
 which the integer finite-difference fit is checked.
+
+The integer edge table has three `Fraction` oracles: `boundary_by_segments`
+counts the boundary of t*P edge by edge with `segment_lattice_points`,
+`fraction_hull` is the monotone chain with `Fraction` orientation tests,
+and `fraction_edges` takes each edge's primitive normal and offset from
+`Fraction` differences.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from pipgeom.counting import count_total
-from pipgeom.exact import IntMat2, Vec2, rat_ceil, rat_floor
+from pipgeom.counting import count_total, segment_lattice_points
+from pipgeom.exact import IntMat2, Vec2, primitive, rat_ceil, rat_floor
 from pipgeom.polygon import DegenerateHullError, RationalPolygon, hull
 from pipgeom.vieta import NTuple, tuple_b_value
 
@@ -104,6 +111,48 @@ def brute_segment_points(a: Vec2, b: Vec2) -> int:
             if cross == 0 and within:
                 count += 1
     return count
+
+
+def boundary_by_segments(P: RationalPolygon, t: int) -> int:
+    """Boundary lattice points of t*P: closed edges, less each lattice vertex once."""
+    total = sum(segment_lattice_points(t * e.start, t * e.end) for e in P.edges())
+    return total - sum(1 for v in P.vertices if (t * v).is_integral)
+
+
+def fraction_hull(points) -> RationalPolygon:
+    """Monotone-chain hull with `Fraction` cross products."""
+
+    def cross(o: Vec2, a: Vec2, b: Vec2) -> Fraction:
+        return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+    pts = sorted({p if isinstance(p, Vec2) else Vec2(*p) for p in points}, key=lambda v: (v.x, v.y))
+    if len(pts) < 3:
+        raise DegenerateHullError("hull needs at least 3 distinct points")
+    chains = []
+    for seq in (pts, pts[::-1]):
+        chain: list[Vec2] = []
+        for p in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    vs = chains[0] + chains[1]
+    if len(vs) < 3:
+        raise DegenerateHullError("points are collinear")
+    return RationalPolygon(vs)
+
+
+def fraction_edges(P: RationalPolygon) -> list[tuple[Vec2, Fraction]]:
+    """(outward primitive normal, offset) per edge, from `Fraction` edge vectors."""
+    out = []
+    vs = P.vertices
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        d = b - a
+        m = math.lcm(d.x.denominator, d.y.denominator)
+        step = primitive(Vec2(d.x * m, d.y * m))
+        normal = Vec2(step.y, -step.x)
+        out.append((normal, normal.dot(a)))
+    return out
 
 
 def brute_b_sweep(bound: int) -> dict[int, tuple[int, int, int]]:

@@ -70,6 +70,27 @@ def test_certify_vertices_not_given_as_pairs_exit_two(vertices, tmp_path, capsys
     assert "[x, y] pairs" in captured.err
 
 
+@pytest.mark.parametrize("coordinate", ["1e-5", "1e-1000", "1.5", "1_0", "1/2.0", " 1 / 2"])
+def test_certify_coordinate_outside_the_grammar_exit_two(coordinate, tmp_path, capsys):
+    path = tmp_path / "grammar.json"
+    path.write_text(json.dumps({"vertices": [["0", "0"], [coordinate, "0"], ["0", "1"]]}))
+    assert main(["certify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p/q" in captured.err
+
+
+@pytest.mark.parametrize("template", ["{}", '{{"vertices": {}}}'])
+def test_certify_deeply_nested_json_exit_two(template, tmp_path, capsys):
+    depth = 200_000
+    path = tmp_path / "deep.json"
+    path.write_text(template.format("[" * depth + "]" * depth))
+    assert main(["certify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nested too deeply" in captured.err
+
+
 def test_vieta_reduced(capsys):
     assert main(["vieta", "--b", "1", "--reduced"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -24,7 +24,13 @@ from pipgeom.exact import AffineMap, IntMat2, Vec2
 from pipgeom.polygon import DegenerateHullError, hull
 from pipgeom.vieta import VietaSolution
 
-from conftest import _count_total_python, brute_counts, brute_segment_points, random_polygon
+from conftest import (
+    _count_total_python,
+    boundary_by_segments,
+    brute_counts,
+    brute_segment_points,
+    random_polygon,
+)
 
 UNIT_SQUARE = hull([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
 T111 = t_xyz(VietaSolution(1, 1, 1, 9))
@@ -86,6 +92,41 @@ def test_count_total_beyond_int64(rng):
         B = sum(e.lattice_length() for e in P.edges())
         for t in (1, 7, 999, 10**6):
             assert count_total(P, t) == P.area * t * t + B / 2 * t + 1
+
+
+coords9 = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+
+
+@given(st.lists(st.tuples(coords9, coords9), min_size=3, max_size=7), st.integers(1, 60))
+def test_count_boundary_matches_segment_route(points, t):
+    try:
+        P = hull(points)
+    except DegenerateHullError:
+        assume(False)
+    assert count_boundary(P, t) == boundary_by_segments(P, t)
+
+
+def test_count_boundary_matches_segment_route_at_every_t(rng):
+    for max_den in range(1, 10):
+        for _ in range(8):
+            P = random_polygon(rng, max_den=max_den)
+            for t in range(1, 2 * P.denominator + 3):
+                assert count_boundary(P, t) == boundary_by_segments(P, t)
+
+
+def test_count_boundary_beyond_int64(rng):
+    shift = Vec2(2**70 + 3, -(2**70) - 5)
+    for _ in range(10):
+        P = random_polygon(rng, max_den=1).translate(shift)
+        B = sum(e.lattice_length() for e in P.edges())
+        for t in (1, 7, 999, 10**6):
+            assert count_boundary(P, t) == t * B
+    # an integer shift moves t*P by the lattice vector t*shift
+    for _ in range(10):
+        P = random_polygon(rng, max_den=5)
+        Q = P.translate(shift)
+        for t in range(1, 2 * P.denominator + 1):
+            assert count_boundary(Q, t) == count_boundary(P, t) == boundary_by_segments(Q, t)
 
 
 def test_lattice_progression_lists_the_segment_points(rng):

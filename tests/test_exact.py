@@ -83,6 +83,45 @@ def test_rational_roundtrip(q):
     assert parse_rational(format_rational(q)) == q
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [("0", 0), (" -3/4 ", Fraction(-3, 4)), ("+5", 5), ("007/014", Fraction(1, 2)), ("6/3\n", 2)],
+)
+def test_parse_rational_accepts_p_and_p_over_q(text, value):
+    assert parse_rational(text) == value
+
+
+BAD_RATIONALS = [
+    "1e-5",
+    "1e-1000",
+    "1E5",
+    "1.5",
+    ".5",
+    "1_0",
+    "1/1_0",
+    "",
+    " ",
+    "-",
+    "1/",
+    "/2",
+    "1/-2",
+    "1/+2",
+    "1 / 2",
+    "--1",
+    "0x10",
+    "inf",
+    "nan",
+    "\u0661",
+    "1/0",
+]
+
+
+@pytest.mark.parametrize("text", BAD_RATIONALS)
+def test_parse_rational_rejects_other_strings(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
+
+
 def test_vec2_is_normalized_and_hashable():
     v = Vec2(Fraction(2, 4), 3)
     assert v.x == Fraction(1, 2) and v.x.denominator == 2

@@ -1,8 +1,17 @@
+import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from pipgeom.constructions import construct_pip, fibonacci_triangle, t_xyz
+from pipgeom.constructions import (
+    construct_pip,
+    fibonacci_triangle,
+    fourgon_distance_two,
+    octagon_empty_boundary,
+    reflexive_catalog,
+    t_xyz,
+)
 from pipgeom.exact import AffineMap, IntMat2, Vec2
 from pipgeom.polygon import (
     DegenerateHullError,
@@ -14,9 +23,10 @@ from pipgeom.polygon import (
     triangle_edge_lattice_length,
     triangle_invariant,
 )
+from pipgeom.svg import render_svg
 from pipgeom.vieta import VietaSolution
 
-from conftest import random_polygon, random_triangle, random_unimodular
+from conftest import fraction_edges, fraction_hull, random_polygon, random_triangle, random_unimodular
 
 UNIT_SQUARE = hull([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
 T111 = hull([Vec2(-3, 2), Vec2(0, -1), Vec2(3, -1)])
@@ -50,6 +60,79 @@ def test_hull_idempotent(rng):
     for _ in range(50):
         P = random_polygon(rng)
         assert hull(P.vertices) == P
+
+
+def _hull_or_error(build, points):
+    try:
+        return build(points)
+    except DegenerateHullError as exc:
+        return str(exc)
+
+
+def _messy_points(rng: random.Random) -> list[Vec2]:
+    """Mixed denominators, repeated points and collinear runs, shuffled."""
+
+    def q(k: int) -> F:
+        return F(rng.randint(-k, k), rng.randint(1, 9))
+
+    pts = [Vec2(q(9), q(9)) for _ in range(rng.randint(0, 6))]
+    if pts and rng.random() < 0.6:
+        a, step = rng.choice(pts), Vec2(q(3), q(3))
+        pts += [a + k * step for k in range(1, rng.randint(2, 6))]
+    pts += rng.choices(pts, k=min(len(pts), 3))
+    rng.shuffle(pts)
+    return pts
+
+
+def test_hull_matches_fraction_chain(rng):
+    for _ in range(600):
+        pts = _messy_points(rng)
+        assert _hull_or_error(hull, pts) == _hull_or_error(fraction_hull, pts)
+        pairs = [(p.x, p.y) for p in pts]
+        assert _hull_or_error(hull, pairs) == _hull_or_error(fraction_hull, pairs)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [],
+        [Vec2(F(1, 3), F(-2, 7))] * 4,
+        [Vec2(0, 0), Vec2(F(1, 3), F(1, 2)), Vec2(0, 0)],
+        [Vec2(F(k, 3), F(k, 2)) for k in (4, 0, 2, 4, 1, 3)],
+        [(F(k, 5), 7) for k in range(-3, 4)],
+    ],
+)
+def test_hull_degenerate_cases_match_fraction_chain(points):
+    with pytest.raises(DegenerateHullError) as exc:
+        hull(points)
+    assert str(exc.value) == _hull_or_error(fraction_hull, points)
+
+
+def _catalog_and_random() -> list[RationalPolygon]:
+    rng = random.Random(20261018)
+    polys = reflexive_catalog() + [fibonacci_triangle(2), octagon_empty_boundary(), fourgon_distance_two()]
+    return polys + [random_polygon(rng, max_den=d) for d in range(1, 10) for _ in range(6)]
+
+
+def test_edges_match_fraction_normals_and_offsets():
+    for P in _catalog_and_random():
+        vs = P.vertices
+        assert [(e.start, e.end) for e in P.edges()] == list(zip(vs, vs[1:] + vs[:1]))
+        assert [(e.normal, e.offset) for e in P.edges()] == fraction_edges(P)
+
+
+def test_edge_table_vertex_periods(rng):
+    for _ in range(40):
+        P = random_polygon(rng, max_den=9)
+        periods = [next(t for t in range(1, P.denominator + 1) if (t * v).is_integral) for v in P.vertices]
+        assert list(P.edge_table.vertex_periods) == periods
+
+
+def test_svg_output_unchanged():
+    # SHA-256 of the SVGs written by the Fraction edge construction
+    svg = "".join(render_svg(P) for P in _catalog_and_random())
+    digest = "fa1d788adeb0dbb95dfa1776fa3f040a0f552101ff35f02a286db8ddb7609027"
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 def test_canonical_form_is_validated():
