@@ -3,8 +3,9 @@
 Polygons are stored in a canonical form (counterclockwise, starting at
 the lexicographically least vertex) so that equality is structural and
 fixtures are stable.  Construction goes through :func:`hull`, a
-monotone-chain hull whose orientation tests run on the points scaled to
-integers; collinear and interior points are absorbed.
+monotone-chain hull whose comparisons and orientation tests run on the
+homogeneous integer coordinates (X, Y, d) of each point; collinear and
+interior points are absorbed.
 
 Vertices are `Fraction`s, but everything derived from the edges comes
 from one integer table, `RationalPolygon.edge_table`, built from the
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import AffineMap, Scalar, Vec2, det2, format_rational, parse_rational
@@ -40,6 +41,12 @@ def _cross(o: Vec2, a: Vec2, b: Vec2) -> Fraction:
 def _scaled(v: Vec2, k: int) -> tuple[int, int]:
     """Integer coordinates of k * v, for k a multiple of both denominators of v."""
     return v.x.numerator * (k // v.x.denominator), v.y.numerator * (k // v.y.denominator)
+
+
+def _homogeneous(v: Vec2) -> tuple[int, int, int]:
+    """v as integers (X, Y, d) with v = (X/d, Y/d) and d > 0 the lcm of its denominators."""
+    d = math.lcm(v.x.denominator, v.y.denominator)
+    return (*_scaled(v, d), d)
 
 
 def _lex_key(v: Vec2) -> tuple[Fraction, Fraction]:
@@ -265,16 +272,18 @@ class RationalPolygon:
 def hull(points: Iterable[Vec2 | tuple[Scalar, Scalar]]) -> RationalPolygon:
     """Canonical convex hull of a rational point set.
 
-    Monotone chain with exact orientation tests on the integer points
-    L * p, where L is the lcm of the coordinate denominators; interior
-    points and points on edges are absorbed.  Raises
-    :class:`DegenerateHullError` when the points do not span dimension 2.
+    Monotone chain with exact orientation tests on the homogeneous
+    integer coordinates (X, Y, d) of each point, so every test costs only
+    the size of its own three points; interior points and points on
+    edges are absorbed.  Raises :class:`DegenerateHullError` when the
+    points do not span dimension 2.
     """
-    vecs = [p if isinstance(p, Vec2) else Vec2(*p) for p in points]
-    L = math.lcm(*[q.denominator for v in vecs for q in (v.x, v.y)])
-    # scaling by L > 0 keeps the lexicographic order and the orientations
-    scaled = {_scaled(v, L): v for v in vecs}
-    pts = sorted(scaled)
+    # (X, Y, d) is unique per point, so it also serves to drop duplicates
+    homog: dict[tuple[int, int, int], Vec2] = {}
+    for p in points:
+        v = p if isinstance(p, Vec2) else Vec2(*p)
+        homog[_homogeneous(v)] = v
+    pts = sorted(homog, key=cmp_to_key(_lex_cmp))
     if len(pts) < 3:
         raise DegenerateHullError("hull needs at least 3 distinct points")
     lower = _chain(pts)
@@ -282,19 +291,29 @@ def hull(points: Iterable[Vec2 | tuple[Scalar, Scalar]]) -> RationalPolygon:
     vs = lower[:-1] + upper[:-1]
     if len(vs) < 3:
         raise DegenerateHullError("points are collinear")
-    return RationalPolygon([scaled[p] for p in vs])
+    return RationalPolygon([homog[h] for h in vs])
 
 
-def _chain(pts: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """One monotone chain: the points kept while every turn is strictly left."""
-    out: list[tuple[int, int]] = []
-    for x, y in pts:
+def _lex_cmp(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
+    """Sign of the lexicographic comparison of two points (X, Y, d) with d > 0."""
+    return (a[0] * b[2] - b[0] * a[2]) or (a[1] * b[2] - b[1] * a[2])
+
+
+def _chain(pts: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """One monotone chain: the points kept while every turn is strictly left.
+
+    With all weights d > 0, the turn o -> a -> p is left exactly when
+    det[[ox, oy, od], [ax, ay, ad], [px, py, pd]] > 0.
+    """
+    out: list[tuple[int, int, int]] = []
+    for p in pts:
+        px, py, pd = p
         while len(out) >= 2:
-            (ox, oy), (ax, ay) = out[-2], out[-1]
-            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+            (ox, oy, od), (ax, ay, ad) = out[-2], out[-1]
+            if od * (ax * py - ay * px) - ad * (ox * py - oy * px) + pd * (ox * ay - oy * ax) > 0:
                 break
             out.pop()
-        out.append((x, y))
+        out.append(p)
     return out
 
 

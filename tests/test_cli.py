@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -295,6 +296,35 @@ def test_certify_work_limit_admits_fibonacci_seven():
     T = fibonacci_triangle(7)
     assert T.denominator == 142130
     assert T.denominator * len(T.vertices) <= CERTIFY_WORK_LIMIT
+
+
+def _odd_primes(n):
+    primes = []
+    k = 3
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 2
+    return primes
+
+
+def test_certify_interior_points_with_distinct_denominators_run_fast(tmp_path, capsys):
+    # the lcm of all 3000 denominators has about 40 kbit; a hull that scaled
+    # every point by it took seconds, each orientation test must stay small
+    interior = [[f"1/{p}", f"1/{p}"] for p in _odd_primes(3000)]
+    path = tmp_path / "interior.json"
+    path.write_text(json.dumps({"vertices": [["0", "0"], ["1", "0"], ["0", "1"]] + interior}))
+    start = time.perf_counter()
+    assert main(["certify", str(path)]) == 0
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert out == _certify_stdout(tmp_path, hull([Vec2(0, 0), Vec2(1, 0), Vec2(0, 1)]), capsys)
+    assert elapsed < 5.0
+
+
+def _certify_stdout(tmp_path, P, capsys):
+    main(["certify", write_polygon(tmp_path, P, "reference.json")])
+    return capsys.readouterr().out
 
 
 # rational strings with denominators <= 9 keep every well-formed polygon far under the limit
