@@ -26,9 +26,11 @@ USAGE_ERROR = 2
 
 # Largest search `verify` starts, counted in prefix entries: an n-variable
 # search with entries <= bound sums (n - 1) * C(bound + n - 2, n - 1) prefix
-# entries and sieves a divisor table of (n - 1) * bound + 1 lists.  The
-# heaviest search at the limit, n = 2 with bound 10^5, takes about a second
-# and 80 MB; the default b-sweep (bound 300) walks 90,300 entries.
+# entries and sieves a divisor table of (n - 1) * bound + 1 lists.  For
+# n >= 3 the search groups the tuples by sum instead of walking the prefixes,
+# so the count bounds its size, not its time: b-sweep at bound 315 searches in
+# about 10 ms.  The heaviest search at the limit, n = 2 with bound 10^5, takes
+# about a second and 75 MB, most of both in the divisor table.
 VERIFY_SEARCH_LIMIT = 10**5
 
 # Largest certification `certify` starts, as denominator D times edges:
@@ -36,6 +38,12 @@ VERIFY_SEARCH_LIMIT = 10**5
 # Fibonacci triangle j = 7 (D = 142,130, 426,390 at 3 edges) takes about
 # 6 s; a D of 10^9 would take hours.
 CERTIFY_WORK_LIMIT = 5 * 10**5
+
+# Deepest family `vieta --family` grows.  The fastest-growing families
+# (b*x = 9) multiply z by about 6.85 per step, so at depth 1000 no entry
+# passes 840 digits, well inside CPython's 4,300-digit int-to-str limit;
+# all 13 reduced seeds print at the limit, about 10 MB of JSON in total.
+VIETA_DEPTH_LIMIT = 1000
 
 _VERIFY_MINIMUM = {"bound": 1, "n": 2, "depth": 0, "count": 1, "max_width": 1}
 
@@ -105,6 +113,12 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if not 1 <= args.b <= 9:
         print("error: --b must be in 1..9", file=sys.stderr)
+        return USAGE_ERROR
+    if not 0 <= args.depth <= VIETA_DEPTH_LIMIT:
+        print(
+            f"error: --depth must be in 0..VIETA_DEPTH_LIMIT = {VIETA_DEPTH_LIMIT}, got {args.depth}",
+            file=sys.stderr,
+        )
         return USAGE_ERROR
     modes = sum(1 for flag in (args.reduced, args.forest, args.family) if flag)
     if modes != 1:

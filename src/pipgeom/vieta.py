@@ -217,28 +217,67 @@ def _square_divisors(limit: int, bound: int) -> list[list[int]]:
     return divs
 
 
+def _sorted_solutions(n: int, bound: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every sorted n-tuple with entries <= bound and integer b, as (tuple, b).
+
+    An integer b forces the last entry v to divide (R + v)^2, hence R^2,
+    where R is the sum of the other entries; every other v fails that
+    necessary condition.  The candidates are exactly the sorted tuples
+    with v | R^2, the set a walk over each sorted prefix and the v in
+    divs[R] would try, but grouped by sum instead of visited prefix by
+    prefix.  For n >= 3 a tuple is a head of n - 3 entries (sum S,
+    product P, last entry lo, or 1 when empty), then x <= y, then v.
+    With r = x + y and R = S + r, every tuple of a group (head, r, v)
+    with v | R^2 shares the integer N = (R + v)^2 / v, and b is
+    N / (P*x*y).  A group is dropped at once unless P | N; otherwise
+    each x costs one test of M = N / P against x*y.
+
+    The x range is complete: x >= lo keeps the tuple sorted after the
+    head, x <= r // 2 is x <= y, and x >= r - v is y <= v (hence
+    y <= bound); a v below r / 2 admits no x.  n = 2 has no x, so its
+    tuples (y, v) are tried directly.  The result is sorted
+    lexicographically.
+    """
+    divs = _square_divisors((n - 1) * bound, bound)
+    hits = []
+    if n == 2:
+        for y in range(1, bound + 1):
+            vs = divs[y]
+            for v in vs[bisect_left(vs, y) :]:
+                s2 = (y + v) ** 2
+                if s2 % (y * v) == 0:
+                    hits.append(((y, v), s2 // (y * v)))
+        return hits
+    for head in combinations_with_replacement(range(1, bound + 1), n - 3):
+        S, P, lo = sum(head), math.prod(head), head[-1] if head else 1
+        for r in range(2 * lo, 2 * bound + 1):
+            R = S + r
+            vs = divs[R]
+            for v in vs[bisect_left(vs, (r + 1) // 2) :]:
+                M, rem = divmod((R + v) ** 2 // v, P)
+                if rem:
+                    continue
+                for x in range(max(lo, r - v), r // 2 + 1):
+                    xy = x * (r - x)
+                    if M % xy == 0:
+                        hits.append((head + (x, r - x, v), M // xy))
+    hits.sort()
+    return hits
+
+
 def solution_b_sweep(bound: int) -> dict[int, tuple[int, int, int]]:
     """Map each attained b-value to its first witness triple.
 
-    Finds, in lexicographic order, every 1 <= x <= y <= z <= bound with
-    xyz | (x+y+z)^2 and keeps the first triple per b.  An integer b
-    forces z | (x+y+z)^2, hence z | (x+y)^2, so for each (x, y) only
-    the z in [y, bound] dividing (x+y)^2 are tried; every other z fails
-    that necessary condition, which keeps the search complete up to
-    the bound.  The full divisibility test still decides each
-    candidate.
+    Takes, in lexicographic order, every 1 <= x <= y <= z <= bound with
+    xyz | (x+y+z)^2 from `_sorted_solutions` and keeps the first triple
+    per b.  Only the z dividing (x+y)^2 are candidates there, since an
+    integer b forces z | (x+y+z)^2, hence z | (x+y)^2; every other z
+    fails that necessary condition, so the search is complete up to the
+    bound.  The full divisibility test still decides each candidate.
     """
-    divs = _square_divisors(2 * bound, bound)
     witnesses: dict[int, tuple[int, int, int]] = {}
-    for x in range(1, bound + 1):
-        for y in range(x, bound + 1):
-            xy = x * y
-            sxy = x + y
-            zs = divs[sxy]
-            for z in zs[bisect_left(zs, y) :]:
-                s = sxy + z
-                if (s * s) % (xy * z) == 0:
-                    witnesses.setdefault((s * s) // (xy * z), (x, y, z))
+    for triple, b in _sorted_solutions(3, bound):
+        witnesses.setdefault(b, triple)
     return witnesses
 
 
@@ -304,12 +343,12 @@ class GeneralBoundReport:
 def verify_general_bound(n: int, search_bound: int) -> GeneralBoundReport:
     """Exhaust sorted n-tuples up to search_bound and check b <= n^2.
 
-    The tuples are visited in lexicographic order.  An integer b forces
-    the last entry v to divide (R + v)^2, hence R^2, where R is the sum
-    of the first n - 1 entries; so for each sorted prefix only the v in
-    [prefix[-1], search_bound] dividing R^2 are tried, and no solution
-    up to the bound is skipped.  Each candidate is then decided by
-    `tuple_b_value`.
+    The solutions come from `_sorted_solutions` in lexicographic order.
+    An integer b forces the last entry v to divide (R + v)^2, hence R^2,
+    where R is the sum of the first n - 1 entries; so only the v in
+    [y, search_bound] dividing R^2 are candidates (y the entry before
+    v), and no solution up to the bound is skipped.  Each candidate is
+    decided exactly, by the divisibility test that also yields its b.
 
     Also reduces every solution found and confirms the reduced form has
     its largest entry bounded by the sum of the others.  The search is
@@ -318,18 +357,11 @@ def verify_general_bound(n: int, search_bound: int) -> GeneralBoundReport:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    divs = _square_divisors((n - 1) * search_bound, search_bound)
     solutions = []
-    for prefix in combinations_with_replacement(range(1, search_bound + 1), n - 1):
-        lasts = divs[sum(prefix)]
-        for v in lasts[bisect_left(lasts, prefix[-1]) :]:
-            combo = prefix + (v,)
-            b = tuple_b_value(combo)
-            if b is None:
-                continue
-            if b > n * n:
-                raise BoundViolationError(f"{combo} gives b={b} > n^2={n * n}")
-            solutions.append(NTuple(combo, b))
+    for combo, b in _sorted_solutions(n, search_bound):
+        if b > n * n:
+            raise BoundViolationError(f"{combo} gives b={b} > n^2={n * n}")
+        solutions.append(NTuple(combo, b))
     all_reduce = True
     for t in solutions:
         r = reduce_tuple(t)

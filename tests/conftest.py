@@ -8,6 +8,10 @@ instead of summing floors edge by edge.
 
 The Vieta oracles `brute_b_sweep` and `brute_general_bound` visit
 every sorted tuple up to the bound, with no divisor pruning.
+`pruned_b_sweep` and `pruned_general_bound` are the second oracle, fast
+enough for the benchmark's sizes: they walk every sorted prefix and try
+as last entry only the divisors of the prefix sum's square, one prefix
+at a time instead of grouped by sum.
 
 `fraction_fit_coeffs` is the residue fit in `Fraction` arithmetic:
 divided differences through three samples per residue class, against
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -32,7 +37,7 @@ import pytest
 from pipgeom.counting import count_total, segment_lattice_points
 from pipgeom.exact import IntMat2, Vec2, primitive, rat_ceil, rat_floor
 from pipgeom.polygon import DegenerateHullError, RationalPolygon, hull
-from pipgeom.vieta import NTuple, tuple_b_value
+from pipgeom.vieta import NTuple, _square_divisors, tuple_b_value
 
 
 def brute_counts(P: RationalPolygon, t: int = 1) -> tuple[int, int, int]:
@@ -174,6 +179,36 @@ def brute_general_bound(n: int, bound: int) -> tuple[NTuple, ...]:
         b = tuple_b_value(combo)
         if b is not None:
             solutions.append(NTuple(combo, b))
+    return tuple(solutions)
+
+
+def pruned_b_sweep(bound: int) -> dict[int, tuple[int, int, int]]:
+    """First witness per b, trying for each (x, y) only the z | (x+y)^2."""
+    divs = _square_divisors(2 * bound, bound)
+    witnesses: dict[int, tuple[int, int, int]] = {}
+    for x in range(1, bound + 1):
+        for y in range(x, bound + 1):
+            xy = x * y
+            sxy = x + y
+            zs = divs[sxy]
+            for z in zs[bisect_left(zs, y) :]:
+                s = sxy + z
+                if (s * s) % (xy * z) == 0:
+                    witnesses.setdefault((s * s) // (xy * z), (x, y, z))
+    return witnesses
+
+
+def pruned_general_bound(n: int, bound: int) -> tuple[NTuple, ...]:
+    """Every solution up to bound, trying per sorted prefix only the last entries v | sum^2."""
+    divs = _square_divisors((n - 1) * bound, bound)
+    solutions = []
+    for prefix in combinations_with_replacement(range(1, bound + 1), n - 1):
+        lasts = divs[sum(prefix)]
+        for v in lasts[bisect_left(lasts, prefix[-1]) :]:
+            combo = prefix + (v,)
+            b = tuple_b_value(combo)
+            if b is not None:
+                solutions.append(NTuple(combo, b))
     return tuple(solutions)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pipgeom.cli import CERTIFY_WORK_LIMIT, VERIFY_SEARCH_LIMIT, main
+from pipgeom.cli import CERTIFY_WORK_LIMIT, VERIFY_SEARCH_LIMIT, VIETA_DEPTH_LIMIT, main
 from pipgeom.constructions import fibonacci_triangle, octagon_empty_boundary
 from pipgeom.exact import Vec2
 from pipgeom.polygon import RationalPolygon, hull
 from pipgeom.suites import SUITES
+from pipgeom.vieta import all_reduced_solutions
 
 
 def write_polygon(tmp_path, P, name="poly.json"):
@@ -133,6 +135,26 @@ def test_vieta_usage_errors(capsys):
     assert main(["vieta", "--b", "8", "--family", "1,1,1"]) == 2  # wrong b
 
 
+@pytest.mark.parametrize("depth", [-1, VIETA_DEPTH_LIMIT + 1])
+def test_vieta_depth_out_of_range_exit_two(depth, capsys, monkeypatch):
+    def family_started(*args):
+        raise AssertionError("the family started")
+
+    monkeypatch.setattr("pipgeom.cli.family", family_started)
+    assert main(["vieta", "--b", "9", "--family", "1,1,1", "--depth", str(depth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"VIETA_DEPTH_LIMIT = {VIETA_DEPTH_LIMIT}" in captured.err
+
+
+def test_vieta_every_seed_prints_at_depth_limit(capsys):
+    for s in all_reduced_solutions():
+        argv = ["vieta", "--b", str(s.b), "--family", f"{s.x},{s.y},{s.z}", "--depth", str(VIETA_DEPTH_LIMIT)]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["family"]
+        assert len(rows) == VIETA_DEPTH_LIMIT + 1
+
+
 def test_construct_and_certify_roundtrip(tmp_path, capsys):
     assert main(["construct", "--family", "p10", "--params", "2,14"]) == 0
     polygon_json = capsys.readouterr().out
@@ -245,6 +267,19 @@ def test_verify_search_at_the_limit_runs(capsys):
     assert "suite b-sweep: pass" in capsys.readouterr().out
     assert main(["verify", "--suite", "nvar-bound", "--n", "3", "--bound", "1"]) == 0
     assert "max b = 9" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--suite", "b-sweep"], "ad2abf3cce931b2dcef04a1e146063b8b1134d53b2c5a01a83cab2e5a4bf639b"),
+        (["--suite", "nvar-bound"], "930abbf01de2c3ca9b33a2763b055c07ee36ada48c7bf79df54fa4bf07926322"),
+    ],
+)
+def test_verify_search_output_unchanged(argv, digest, capsys):
+    # SHA-256 of the stdout written by the per-prefix divisor-pruned searches
+    assert main(["verify", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from pipgeom.vieta import (
     vieta_reduce,
 )
 
-from conftest import brute_b_sweep, brute_general_bound
+from conftest import brute_b_sweep, brute_general_bound, pruned_b_sweep, pruned_general_bound
 
 TABLE = {
     1: {(5, 20, 25), (6, 12, 18), (8, 8, 16), (9, 9, 9)},
@@ -241,6 +241,17 @@ def test_verify_general_bound_matches_brute(n, max_bound):
         assert report.max_b == max((t.b for t in expected), default=0)
         reduced = [reduce_tuple(t).values for t in expected]
         assert report.all_reduce == all(r[-1] <= sum(r[:-1]) for r in reduced)
+
+
+def test_solution_b_sweep_matches_pruned_at_benchmark_size():
+    assert list(solution_b_sweep(300).items()) == list(pruned_b_sweep(300).items())
+
+
+@pytest.mark.parametrize("n, bound", [(3, 200), (4, 40), (5, 14), (6, 8)])
+def test_verify_general_bound_matches_pruned(n, bound):
+    expected = pruned_general_bound(n, bound)
+    assert expected
+    assert verify_general_bound(n, bound).solutions == expected
 
 
 def test_tuple_b_value_and_ntuple():
