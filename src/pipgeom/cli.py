@@ -16,7 +16,7 @@ import time
 
 from . import __version__
 from .constructions import ConstructionSpec, NotConstructibleError, build
-from .ehrhart import is_pseudointegral
+from .ehrhart import CERTIFY_WORK_LIMIT, certify_work, is_pseudointegral
 from .polygon import DegenerateHullError, RationalPolygon
 from .suites import SUITES
 from .svg import render_svg
@@ -33,11 +33,19 @@ USAGE_ERROR = 2
 # about a second and 75 MB, most of both in the divisor table.
 VERIFY_SEARCH_LIMIT = 10**5
 
-# Largest certification `certify` starts, as denominator D times edges:
-# the residue fits make 4*D count calls of one floor sum per edge.  The
-# Fibonacci triangle j = 7 (D = 142,130, 426,390 at 3 edges) takes about
-# 6 s; a D of 10^9 would take hours.
-CERTIFY_WORK_LIMIT = 5 * 10**5
+# Most digits `certify` accepts in the integers that write the polygon over
+# its denominator D: D itself and the vertex coordinates of D * P.  The
+# Ehrhart coefficients print counts of dilates up to 3D over 2*D^2; with D
+# within CERTIFY_WORK_LIMIT no printed value can pass 4,014 digits (a
+# triangle at the limit with D = 166,666 prints 4,001), inside CPython's
+# 4,300-digit int-to-str limit.
+CERTIFY_COORDINATE_DIGITS = 2000
+_COORDINATE_BOUND = 10**CERTIFY_COORDINATE_DIGITS
+
+# Largest index `construct --family fibonacci` builds.  The triangle's
+# coordinates have numerators near 3 * F_{2j+1}, about 0.418 * j digits:
+# 4,181 at the limit, inside CPython's 4,300-digit int-to-str limit.
+FIBONACCI_INDEX_LIMIT = 10**4
 
 # Deepest family `vieta --family` grows.  The fastest-growing families
 # (b*x = 9) multiply z by about 6.85 per step, so at depth 1000 no entry
@@ -45,7 +53,7 @@ CERTIFY_WORK_LIMIT = 5 * 10**5
 # all 13 reduced seeds print at the limit, about 10 MB of JSON in total.
 VIETA_DEPTH_LIMIT = 1000
 
-_VERIFY_MINIMUM = {"bound": 1, "n": 2, "depth": 0, "count": 1, "max_width": 1}
+_VERIFY_MINIMUM = {"bound": 1, "n": 2, "depth": 0, "count": 1}
 
 # The flags each suite reads, each mapped to the suite's keyword argument
 # (None for nvar-bound, which folds --n and --bound into one case).  Any
@@ -53,7 +61,7 @@ _VERIFY_MINIMUM = {"bound": 1, "n": 2, "depth": 0, "count": 1, "max_width": 1}
 _SUITE_FLAGS = {
     "b-sweep": {"bound": "bound"},
     "nvar-bound": {"n": None, "bound": None},
-    "family-grid": {"depth": "depth", "max_width": "width_cap"},
+    "family-grid": {"depth": "depth"},
     "properties": {"count": "count"},
 }
 
@@ -76,11 +84,22 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot read polygon: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    work = P.denominator * len(P.vertices)
-    if work > CERTIFY_WORK_LIMIT:
+    # a D too long to print is refused under the digit limit, and D * P is
+    # built only once D is within the work limit
+    work = certify_work(P)
+    if work > CERTIFY_WORK_LIMIT and P.denominator < _COORDINATE_BOUND:
         print(
             f"error: denominator {P.denominator} times {len(P.vertices)} edges is {work}, "
             f"over CERTIFY_WORK_LIMIT = {CERTIFY_WORK_LIMIT}",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
+    if P.denominator >= _COORDINATE_BOUND or any(
+        abs(c) >= _COORDINATE_BOUND for xy in P.scaled_vertices for c in xy
+    ):
+        print(
+            "error: the denominator D or a vertex coordinate of D * P has more than "
+            f"CERTIFY_COORDINATE_DIGITS = {CERTIFY_COORDINATE_DIGITS} digits",
             file=sys.stderr,
         )
         return USAGE_ERROR
@@ -167,6 +186,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         params = tuple(int(v) for v in args.params.split(",")) if args.params else ()
+        if args.family == "fibonacci" and max(params, default=0) > FIBONACCI_INDEX_LIMIT:
+            raise ValueError(f"index must be at most FIBONACCI_INDEX_LIMIT = {FIBONACCI_INDEX_LIMIT}")
         P = build(ConstructionSpec(args.family, params))
     except (ValueError, NotConstructibleError, DegenerateHullError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -273,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
-    p.add_argument("--max-width", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -20,10 +20,8 @@ per count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .exact import Vec2, primitive, rat_ceil, rat_floor
 from .polygon import RationalPolygon
 
 
@@ -86,39 +84,6 @@ def count_total(P: RationalPolygon, t: int = 1) -> int:
         stop = t * hi // D + 1 if hi == x_hi else -(-t * hi // D)
         total += _floor_sum(stop - start, m, -a, c * t - a * start)
     return total
-
-
-def lattice_progression(a: Vec2, b: Vec2) -> tuple[tuple[int, int], tuple[int, int], int]:
-    """Lattice points on the closed rational segment [a, b], a != b.
-
-    Returns (first, step, count): the points are first + k * step for
-    0 <= k < count, with step the primitive direction from a to b.
-    They exist only when <n, a> is an integer for the primitive normal
-    n = (step_y, -step_x) of the segment's line.
-    """
-    if a == b:
-        raise ValueError("segment endpoints must differ")
-    w = b - a
-    m = math.lcm(w.x.denominator, w.y.denominator)
-    dx, dy = primitive(Vec2(w.x * m, w.y * m)).as_ints()
-    c = dy * a.x - dx * a.y
-    if c.denominator != 1:
-        return (0, 0), (dx, dy), 0
-    # one lattice point on the line is c * (u, v) with dy*u - dx*v = 1
-    u = pow(dy, -1, abs(dx)) if dx else dy
-    v = (dy * u - 1) // dx if dx else 0
-    x0, y0 = int(c) * u, int(c) * v
-    # a + s * step for 0 <= s <= length covers [a, b]; (x0, y0) sits at s0
-    norm = dx * dx + dy * dy
-    s0 = ((x0 - a.x) * dx + (y0 - a.y) * dy) / norm
-    length = (w.x * dx + w.y * dy) / norm
-    k0 = rat_ceil(-s0)
-    return (x0 + k0 * dx, y0 + k0 * dy), (dx, dy), rat_floor(length - s0) - k0 + 1
-
-
-def segment_lattice_points(a: Vec2, b: Vec2) -> int:
-    """Number of lattice points on the closed rational segment [a, b]."""
-    return lattice_progression(a, b)[2]
 
 
 def count_boundary(P: RationalPolygon, t: int = 1) -> int:

@@ -26,6 +26,17 @@ from .counting import count_interior, count_report, count_total
 from .exact import format_rational
 from .polygon import RationalPolygon
 
+# Largest certification `certify` and the family-grid suite start, as
+# denominator D times edges: the residue fits make 4*D count calls of one
+# floor sum per edge.  The Fibonacci triangle j = 7 (D = 142,130, 426,390
+# at 3 edges) takes about 6 s; a D of 10^9 would take hours.
+CERTIFY_WORK_LIMIT = 5 * 10**5
+
+
+def certify_work(P: RationalPolygon) -> int:
+    """Cost of certifying P as D * edges, the measure `CERTIFY_WORK_LIMIT` bounds."""
+    return P.denominator * len(P.vertices)
+
 
 class CountingConsistencyError(RuntimeError):
     """Internal cross-check failed; signals a counting bug, not bad input."""

@@ -7,12 +7,13 @@ monotone-chain hull whose comparisons and orientation tests run on the
 homogeneous integer coordinates (X, Y, d) of each point; collinear and
 interior points are absorbed.
 
-Vertices are `Fraction`s, but everything derived from the edges comes
-from one integer table, `RationalPolygon.edge_table`, built from the
-vertices V = D * v of D * P for the denominator D: each edge's primitive
-outer normal and offset, the floor-sum rows that `counting.count_total`
-sums, and the boundary rows from which `counting.count_boundary` reads
-the lattice points on each edge of a dilate.
+Vertices are `Fraction`s, but the constructor checks the canonical form
+on the same homogeneous integers, and every edge fact comes from one
+integer table built from the vertices V = D * v of D * P,
+`RationalPolygon.edge_table`: primitive outer normals, offsets and
+lattice lengths, the floor-sum rows of `counting.count_total`, and the
+boundary rows from which `counting.count_boundary` counts and
+`boundary_points` lists the lattice points on each edge.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ class NotConvexOrderError(ValueError):
     """Raised when normals are not in strictly convex counterclockwise order."""
 
 
-def _cross(o: Vec2, a: Vec2, b: Vec2) -> Fraction:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
 def _scaled(v: Vec2, k: int) -> tuple[int, int]:
     """Integer coordinates of k * v, for k a multiple of both denominators of v."""
     return v.x.numerator * (k // v.x.denominator), v.y.numerator * (k // v.y.denominator)
@@ -49,8 +46,12 @@ def _homogeneous(v: Vec2) -> tuple[int, int, int]:
     return (*_scaled(v, d), d)
 
 
-def _lex_key(v: Vec2) -> tuple[Fraction, Fraction]:
-    return (v.x, v.y)
+def _dual_step(sx: int, sy: int) -> tuple[int, int]:
+    """An integer w = (u, v) with u*sx + v*sy = 1, for a primitive step (sx, sy)."""
+    if sy:
+        u = pow(sx, -1, abs(sy))
+        return u, (1 - u * sx) // sy
+    return sx, 0
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,17 @@ class Edge:
     """Closed polygon edge with its primitive outer normal.
 
     `offset` is the common value of <normal, p> over the edge; the
-    polygon lies in <normal, p> <= offset.
+    polygon lies in <normal, p> <= offset.  `steps` is <w, B> - <w, A>
+    from the edge's boundary row of `RationalPolygon.edge_table`: the
+    lattice length of the edge of D * P, for the denominator D.
     """
 
     start: Vec2
     end: Vec2
     normal: Vec2
     offset: Fraction
+    steps: int
+    denominator: int
 
     def lattice_distance(self, p: Vec2) -> Fraction:
         """Lattice distance from p to the affine span of the edge."""
@@ -72,17 +77,7 @@ class Edge:
 
     def lattice_length(self) -> Fraction:
         """Length of the edge measured in lattice steps along its span."""
-        return segment_lattice_length(self.start, self.end)
-
-
-def segment_lattice_length(a: Vec2, b: Vec2) -> Fraction:
-    """Lattice length of the segment [a, b]: |b-a| over its primitive direction."""
-    w = b - a
-    if w.x == 0 and w.y == 0:
-        return Fraction(0)
-    m = math.lcm(w.x.denominator, w.y.denominator)
-    wx, wy = int(w.x * m), int(w.y * m)
-    return Fraction(math.gcd(abs(wx), abs(wy)), m)
+        return Fraction(self.steps, self.denominator)
 
 
 class EdgeTable(NamedTuple):
@@ -111,12 +106,12 @@ class RationalPolygon:
         vs = tuple(vertices)
         if len(vs) < 3:
             raise DegenerateHullError(f"need at least 3 vertices, got {len(vs)}")
-        n = len(vs)
-        for i in range(n):
-            if _cross(vs[i], vs[(i + 1) % n], vs[(i + 2) % n]) <= 0:
+        # each test runs on the homogeneous coordinates of its own points
+        H = [_homogeneous(v) for v in vs]
+        for o, a, p in zip(H, H[1:] + H[:1], H[2:] + H[:2]):
+            if _turn(o, a, p) <= 0:
                 raise ValueError("vertices not in strictly convex counterclockwise order")
-        least = min(range(n), key=lambda i: _lex_key(vs[i]))
-        if least != 0:
+        if any(_lex_cmp(h, H[0]) < 0 for h in H):
             raise ValueError("canonical form starts at the lexicographically least vertex")
         self.vertices = vs
 
@@ -142,11 +137,13 @@ class RationalPolygon:
 
     @cached_property
     def denominator(self) -> int:
-        """Least positive k such that k * P has integer vertices."""
-        d = 1
-        for v in self.vertices:
-            d = math.lcm(d, v.x.denominator, v.y.denominator)
-        return d
+        """Least positive D such that D * P has integer vertices."""
+        return math.lcm(*[c.denominator for v in self.vertices for c in (v.x, v.y)])
+
+    @cached_property
+    def scaled_vertices(self) -> tuple[tuple[int, int], ...]:
+        """The integer vertices V = D * v of D * P, for the denominator D."""
+        return tuple([_scaled(v, self.denominator) for v in self.vertices])
 
     @cached_property
     def edge_table(self) -> EdgeTable:
@@ -159,12 +156,12 @@ class RationalPolygon:
         non-vertical edge: the edge spans lo/D <= x <= hi/D, and at column
         x of t * P an upper edge gives y <= (c*t - a*x) / m and a lower
         edge y >= -(c*t - a*x) / m.  `boundary` holds (den, <w, A>, <w, B>)
-        per edge, with w an integer vector and <w, s> = 1; the vertex
+        per edge, with w an integer vector and <w, s> = 1, so that
+        <w, B> - <w, A> = g is the lattice length of the edge; the vertex
         periods are q_v = D / gcd(D, V_x, V_y), the least t with t * v
         integral.
         """
-        D = self.denominator
-        V = [_scaled(v, D) for v in self.vertices]
+        D, V = self.denominator, self.scaled_vertices
         # lists, not generators, feed every tuple below: tuple() of a
         # generator is resized to fit, and CPython then keeps the freed tuple
         # on the free list of its final size, so each op would leave one more
@@ -182,12 +179,7 @@ class RationalPolygon:
             if ny:
                 lo, hi = (ax, bx) if ax <= bx else (bx, ax)
                 columns.append((lo, hi, den * abs(ny), den * nx, num))
-            # w = (u, v) with u*sx + v*sy = 1
-            if sy:
-                u = pow(sx, -1, abs(sy))
-                v = (1 - u * sx) // sy
-            else:
-                u, v = sx, 0
+            u, v = _dual_step(sx, sy)
             boundary.append((den, u * ax + v * ay, u * bx + v * by))
         xs = [x for x, _ in V]
         return EdgeTable(
@@ -202,13 +194,29 @@ class RationalPolygon:
 
     @cached_property
     def _edges(self) -> tuple[Edge, ...]:
-        vs = self.vertices
+        vs, table = self.vertices, self.edge_table
         return tuple(
             [
-                Edge(a, b, Vec2(nx, ny), Fraction(num, den))
-                for a, b, (nx, ny, num, den) in zip(vs, vs[1:] + vs[:1], self.edge_table.facets)
+                Edge(a, b, Vec2(nx, ny), Fraction(num, den), wb - wa, table.denominator)
+                for a, b, (nx, ny, num, den), (_, wa, wb) in zip(
+                    vs, vs[1:] + vs[:1], table.facets, table.boundary
+                )
             ]
         )
+
+    def boundary_points(self) -> set[tuple[int, int]]:
+        """Lattice points on the boundary, from the rows of `edge_table`.
+
+        Only an edge with den = 1 holds any: those with <n, p> = num and
+        <w, p> = j for <w, A> <= D*j <= <w, B>, as det[[n_x, n_y], [u, v]] = 1.
+        """
+        table = self.edge_table
+        D, points = table.denominator, set()
+        for (nx, ny, num, den), (_, wa, wb) in zip(table.facets, table.boundary):
+            if den == 1:
+                u, v = _dual_step(-ny, nx)
+                points.update((v * num - ny * j, nx * j - u * num) for j in range(-(-wa // D), wb // D + 1))
+        return points
 
     def edges(self) -> tuple[Edge, ...]:
         """Edges in counterclockwise order, starting at the first vertex."""
@@ -299,19 +307,18 @@ def _lex_cmp(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
     return (a[0] * b[2] - b[0] * a[2]) or (a[1] * b[2] - b[1] * a[2])
 
 
-def _chain(pts: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """One monotone chain: the points kept while every turn is strictly left.
+def _turn(o: tuple[int, int, int], a: tuple[int, int, int], p: tuple[int, int, int]) -> int:
+    """det[[ox, oy, od], [ax, ay, ad], [px, py, pd]]: with all weights d > 0,
+    positive exactly when o -> a -> p turns left."""
+    (ox, oy, od), (ax, ay, ad), (px, py, pd) = o, a, p
+    return od * (ax * py - ay * px) - ad * (ox * py - oy * px) + pd * (ox * ay - oy * ax)
 
-    With all weights d > 0, the turn o -> a -> p is left exactly when
-    det[[ox, oy, od], [ax, ay, ad], [px, py, pd]] > 0.
-    """
+
+def _chain(pts: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """One monotone chain: the points kept while every turn is strictly left."""
     out: list[tuple[int, int, int]] = []
     for p in pts:
-        px, py, pd = p
-        while len(out) >= 2:
-            (ox, oy, od), (ax, ay, ad) = out[-2], out[-1]
-            if od * (ax * py - ay * px) - ad * (ox * py - oy * px) + pd * (ox * ay - oy * ax) > 0:
-                break
+        while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
             out.pop()
         out.append(p)
     return out

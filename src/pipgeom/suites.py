@@ -23,8 +23,6 @@ from .polygon import (
 )
 from .vieta import VietaSolution
 
-DEFAULT_WIDTH_CAP = 10**6
-
 
 @dataclass
 class SuiteResult:
@@ -128,26 +126,22 @@ def suite_nvar(cases: tuple[tuple[int, int, int], ...] = ((2, 50, 4), (3, 200, 9
     return res
 
 
-def _dilate_width_columns(P: RationalPolygon, t: int) -> int:
-    xmin, xmax, _, _ = P.bounding_box()
-    return int((xmax - xmin) * t) + 1
-
-
-def suite_family_grid(depth: int = 4, width_cap: int = DEFAULT_WIDTH_CAP) -> SuiteResult:
+def suite_family_grid(depth: int = 4) -> SuiteResult:
     """Certify the solution triangle of every family state up to `depth`.
 
-    Instances whose widest certification dilate exceeds `width_cap`
-    columns are skipped and logged; at depth 4 none trigger.
+    Instances whose certification work D * edges exceeds
+    `ehrhart.CERTIFY_WORK_LIMIT` are skipped and logged; at depths up to
+    6 none trigger.
     """
     res = SuiteResult("family-grid")
     for seed in vieta.all_reduced_solutions():
         for state in vieta.family(seed, depth):
             sol = state.solution()
             T = constructions.t_xyz(sol)
-            widest = _dilate_width_columns(T, 4 * T.denominator)
+            work = ehrhart.certify_work(T)
             label = f"seed {seed.triple()} b={seed.b} j={state.j}: triangle of {sol.triple()}"
-            if widest > width_cap:
-                res.add(label + " [skipped]", True, f"width {widest} columns exceeds cap")
+            if work > ehrhart.CERTIFY_WORK_LIMIT:
+                res.add(label + " [skipped]", True, f"work {work} exceeds CERTIFY_WORK_LIMIT")
                 continue
             cert = ehrhart.is_pseudointegral(T)
             res.add(

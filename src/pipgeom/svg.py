@@ -1,15 +1,15 @@
 """Static SVG pictures of polygons on the integer lattice.
 
 Output shows the unit lattice as dots, the polygon filled, and every
-boundary lattice point highlighted.  Floating point appears only here,
-in presentation coordinates; nothing feeds back into the geometry.
+boundary lattice point (`RationalPolygon.boundary_points`) highlighted.
+Floating point appears only here, in presentation coordinates; nothing
+feeds back into the geometry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .counting import lattice_progression
 from .exact import rat_ceil, rat_floor
 from .polygon import RationalPolygon
 
@@ -45,10 +45,7 @@ def render_svg(P: RationalPolygon, scale: int = 48, margin: int = 1) -> str:
         f'<path d="{path} Z" fill="#c8c8c8" fill-opacity="0.8" '
         'stroke="black" stroke-width="1.5"/>'
     )
-    boundary = set()
-    for e in P.edges():
-        (x0, y0), (dx, dy), n = lattice_progression(e.start, e.end)
-        boundary.update((x0 + k * dx, y0 + k * dy) for k in range(n))
+    boundary = P.boundary_points()
     for gx in range(gx0, gx1 + 1):
         for gy in range(gy0, gy1 + 1):
             if (gx, gy) in boundary:

@@ -17,11 +17,16 @@ at a time instead of grouped by sum.
 divided differences through three samples per residue class, against
 which the integer finite-difference fit is checked.
 
-The integer edge table has three `Fraction` oracles: `boundary_by_segments`
-counts the boundary of t*P edge by edge with `segment_lattice_points`,
-`fraction_hull` is the monotone chain with `Fraction` orientation tests,
-and `fraction_edges` takes each edge's primitive normal and offset from
-`Fraction` differences.
+The integer edge table has `Fraction` oracles: `lattice_progression`
+lists the lattice points of a rational segment, `boundary_by_segments`
+counts the boundary of t*P edge by edge with it, `fraction_hull` is the
+monotone chain with `Fraction` orientation tests, `fraction_edges` takes
+each edge's primitive normal and offset from `Fraction` differences, and
+`fraction_lattice_length` each edge's lattice length.
+
+The random generators are the `properties` suite's own, so a seeded test
+sees the same instance stream as the suite; `random_triangle` differs
+from the suite's triangle generator and stays here.
 """
 
 from __future__ import annotations
@@ -34,9 +39,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from pipgeom.counting import count_total, segment_lattice_points
-from pipgeom.exact import IntMat2, Vec2, primitive, rat_ceil, rat_floor
+from pipgeom.counting import count_total
+from pipgeom.exact import Vec2, primitive, rat_ceil, rat_floor
 from pipgeom.polygon import DegenerateHullError, RationalPolygon, hull
+from pipgeom.suites import _random_polygon as random_polygon
+from pipgeom.suites import _random_unimodular as random_unimodular
 from pipgeom.vieta import NTuple, _square_divisors, tuple_b_value
 
 
@@ -116,6 +123,49 @@ def brute_segment_points(a: Vec2, b: Vec2) -> int:
             if cross == 0 and within:
                 count += 1
     return count
+
+
+def lattice_progression(a: Vec2, b: Vec2) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """Lattice points on the closed rational segment [a, b], a != b.
+
+    Returns (first, step, count): the points are first + k * step for
+    0 <= k < count, with step the primitive direction from a to b.
+    They exist only when <n, a> is an integer for the primitive normal
+    n = (step_y, -step_x) of the segment's line.
+    """
+    if a == b:
+        raise ValueError("segment endpoints must differ")
+    w = b - a
+    m = math.lcm(w.x.denominator, w.y.denominator)
+    dx, dy = primitive(Vec2(w.x * m, w.y * m)).as_ints()
+    c = dy * a.x - dx * a.y
+    if c.denominator != 1:
+        return (0, 0), (dx, dy), 0
+    # one lattice point on the line is c * (u, v) with dy*u - dx*v = 1
+    u = pow(dy, -1, abs(dx)) if dx else dy
+    v = (dy * u - 1) // dx if dx else 0
+    x0, y0 = int(c) * u, int(c) * v
+    # a + s * step for 0 <= s <= length covers [a, b]; (x0, y0) sits at s0
+    norm = dx * dx + dy * dy
+    s0 = ((x0 - a.x) * dx + (y0 - a.y) * dy) / norm
+    length = (w.x * dx + w.y * dy) / norm
+    k0 = rat_ceil(-s0)
+    return (x0 + k0 * dx, y0 + k0 * dy), (dx, dy), rat_floor(length - s0) - k0 + 1
+
+
+def segment_lattice_points(a: Vec2, b: Vec2) -> int:
+    """Number of lattice points on the closed rational segment [a, b]."""
+    return lattice_progression(a, b)[2]
+
+
+def fraction_lattice_length(a: Vec2, b: Vec2) -> Fraction:
+    """Lattice length of the segment [a, b]: |b-a| over its primitive direction."""
+    w = b - a
+    if w.x == 0 and w.y == 0:
+        return Fraction(0)
+    m = math.lcm(w.x.denominator, w.y.denominator)
+    wx, wy = int(w.x * m), int(w.y * m)
+    return Fraction(math.gcd(abs(wx), abs(wy)), m)
 
 
 def boundary_by_segments(P: RationalPolygon, t: int) -> int:
@@ -212,21 +262,6 @@ def pruned_general_bound(n: int, bound: int) -> tuple[NTuple, ...]:
     return tuple(solutions)
 
 
-def random_polygon(rng: random.Random, span: int = 6, max_den: int = 3) -> RationalPolygon:
-    while True:
-        pts = [
-            Vec2(
-                Fraction(rng.randint(-span, span), rng.randint(1, max_den)),
-                Fraction(rng.randint(-span, span), rng.randint(1, max_den)),
-            )
-            for _ in range(rng.randint(3, 7))
-        ]
-        try:
-            return hull(pts)
-        except DegenerateHullError:
-            continue
-
-
 def random_triangle(rng: random.Random, span: int = 6, max_den: int = 3) -> RationalPolygon:
     while True:
         pts = [
@@ -242,22 +277,6 @@ def random_triangle(rng: random.Random, span: int = 6, max_den: int = 3) -> Rati
             continue
         if len(T.vertices) == 3:
             return T
-
-
-def random_unimodular(rng: random.Random) -> IntMat2:
-    m = IntMat2.identity()
-    for _ in range(rng.randint(1, 4)):
-        k = rng.randint(-3, 3)
-        kind = rng.randrange(3)
-        if kind == 0:
-            m = m @ IntMat2(1, k, 0, 1)
-        elif kind == 1:
-            m = m @ IntMat2(1, 0, k, 1)
-        else:
-            m = m @ IntMat2(0, -1, 1, 0)
-    if rng.random() < 0.5:
-        m = m @ IntMat2(0, 1, 1, 0)
-    return m
 
 
 @pytest.fixture

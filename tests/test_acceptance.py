@@ -48,7 +48,7 @@ def test_criterion_03_nvar_bound():
 
 def test_criterion_04_family_triangle_grid():
     started = time.time()
-    result = suites.suite_family_grid(depth=4, width_cap=10**6)
+    result = suites.suite_family_grid(depth=4)
     elapsed = time.time() - started
     _run(4, "solution triangles certify (1, b) for all seeds, depth <= 4", result)
     assert elapsed < 600.0, f"took {elapsed:.2f}s, budget 600s"

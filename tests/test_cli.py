@@ -10,7 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pipgeom.cli import CERTIFY_WORK_LIMIT, VERIFY_SEARCH_LIMIT, VIETA_DEPTH_LIMIT, main
+from pipgeom.cli import (
+    CERTIFY_COORDINATE_DIGITS,
+    CERTIFY_WORK_LIMIT,
+    FIBONACCI_INDEX_LIMIT,
+    VERIFY_SEARCH_LIMIT,
+    VIETA_DEPTH_LIMIT,
+    main,
+)
 from pipgeom.constructions import fibonacci_triangle, octagon_empty_boundary
 from pipgeom.exact import Vec2
 from pipgeom.polygon import RationalPolygon, hull
@@ -286,7 +293,7 @@ def test_verify_search_output_unchanged(argv, digest, capsys):
     "argv, flag",
     [
         (["--suite", "b-sweep", "--n", "7", "--depth", "3"], "--n"),
-        (["--suite", "b-sweep", "--bound", "20", "--max-width", "5"], "--max-width"),
+        (["--suite", "b-sweep", "--bound", "20", "--depth", "5"], "--depth"),
         (["--suite", "nvar-bound", "--bound", "5"], "--bound"),
         (["--suite", "nvar-bound", "--n", "3", "--count", "2"], "--count"),
         (["--suite", "reduced-table", "--bound", "3"], "--bound"),
@@ -303,6 +310,63 @@ def test_verify_refuses_flags_the_suite_does_not_read(argv, flag, capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+def test_verify_has_no_max_width_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "family-grid", "--max-width", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        # D = 1 and a PIP, but its area has 8,000 digits
+        [["0", "0"], [str(10**4000), "0"], ["0", str(10**4000)]],
+        [["0", "0"], [str(10**CERTIFY_COORDINATE_DIGITS), "0"], ["0", "1"]],
+        # coprime 2,200-digit denominators: D has 4,400 digits
+        [["0", "0"], [f"1/{10**2200}", "0"], ["0", f"1/{10**2200 + 1}"]],
+        # D has 2,201 digits, though D * P is the unit triangle
+        [["0", "0"], [f"1/{10**2200}", "0"], ["0", f"1/{10**2200}"]],
+    ],
+)
+def test_certify_refuses_oversized_coordinates_up_front(vertices, tmp_path, capsys, monkeypatch):
+    def certification_started(P):
+        raise AssertionError("certification started")
+
+    monkeypatch.setattr("pipgeom.cli.is_pseudointegral", certification_started)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": vertices}))
+    assert main(["certify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"CERTIFY_COORDINATE_DIGITS = {CERTIFY_COORDINATE_DIGITS}" in captured.err
+
+
+def test_certify_coordinates_at_the_digit_limit_print(tmp_path, capsys):
+    leg = 10**CERTIFY_COORDINATE_DIGITS - 1
+    path = write_polygon(tmp_path, hull([Vec2(0, 0), Vec2(leg, 0), Vec2(0, leg)]))
+    assert main(["certify", path]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["i"], results["b"]) == ((leg - 1) * (leg - 2) // 2, 3 * leg)
+
+
+@pytest.mark.parametrize("j", [FIBONACCI_INDEX_LIMIT + 1, 100000])
+def test_construct_refuses_fibonacci_index_over_the_limit(j, capsys, monkeypatch):
+    def construction_started(spec):
+        raise AssertionError("construction started")
+
+    monkeypatch.setattr("pipgeom.cli.build", construction_started)
+    assert main(["construct", "--family", "fibonacci", "--params", str(j)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"FIBONACCI_INDEX_LIMIT = {FIBONACCI_INDEX_LIMIT}" in captured.err
+
+
+def test_construct_fibonacci_at_the_index_limit_prints(capsys):
+    assert main(["construct", "--family", "fibonacci", "--params", str(FIBONACCI_INDEX_LIMIT)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["vertices"]) == 3
 
 
 @pytest.mark.parametrize("den", [1000000007, CERTIFY_WORK_LIMIT // 3 + 1])
@@ -354,6 +418,22 @@ def test_certify_interior_points_with_distinct_denominators_run_fast(tmp_path, c
     elapsed = time.perf_counter() - start
     out = capsys.readouterr().out
     assert out == _certify_stdout(tmp_path, hull([Vec2(0, 0), Vec2(1, 0), Vec2(0, 1)]), capsys)
+    assert elapsed < 5.0
+
+
+def test_certify_vertices_with_distinct_denominators_refused_fast(tmp_path, capsys):
+    # all 3000 points lie on the parabola y = x^2, so all are vertices, and
+    # D has about 80 kbit; a canonical-form check that scaled every vertex
+    # by D took seconds, each test must stay the size of its own points
+    vertices = [[f"1/{p}", f"1/{p * p}"] for p in _odd_primes(3000)]
+    path = tmp_path / "parabola.json"
+    path.write_text(json.dumps({"vertices": vertices}))
+    start = time.perf_counter()
+    assert main(["certify", str(path)]) == 2
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "CERTIFY_COORDINATE_DIGITS" in captured.err
     assert elapsed < 5.0
 
 

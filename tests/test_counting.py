@@ -17,8 +17,6 @@ from pipgeom.counting import (
     count_interior,
     count_report,
     count_total,
-    lattice_progression,
-    segment_lattice_points,
 )
 from pipgeom.exact import AffineMap, IntMat2, Vec2
 from pipgeom.polygon import DegenerateHullError, hull
@@ -29,7 +27,9 @@ from conftest import (
     boundary_by_segments,
     brute_counts,
     brute_segment_points,
+    lattice_progression,
     random_polygon,
+    segment_lattice_points,
 )
 
 UNIT_SQUARE = hull([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])

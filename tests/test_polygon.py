@@ -26,7 +26,14 @@ from pipgeom.polygon import (
 from pipgeom.svg import render_svg
 from pipgeom.vieta import VietaSolution
 
-from conftest import fraction_edges, fraction_hull, random_polygon, random_triangle, random_unimodular
+from conftest import (
+    fraction_edges,
+    fraction_hull,
+    fraction_lattice_length,
+    random_polygon,
+    random_triangle,
+    random_unimodular,
+)
 
 UNIT_SQUARE = hull([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
 T111 = hull([Vec2(-3, 2), Vec2(0, -1), Vec2(3, -1)])
@@ -119,6 +126,8 @@ def test_edges_match_fraction_normals_and_offsets():
         vs = P.vertices
         assert [(e.start, e.end) for e in P.edges()] == list(zip(vs, vs[1:] + vs[:1]))
         assert [(e.normal, e.offset) for e in P.edges()] == fraction_edges(P)
+        for e in P.edges():
+            assert e.lattice_length() == fraction_lattice_length(e.start, e.end)
 
 
 def test_edge_table_vertex_periods(rng):
@@ -140,6 +149,13 @@ def test_canonical_form_is_validated():
         RationalPolygon((Vec2(0, 0), Vec2(0, 1), Vec2(1, 0)))  # clockwise
     with pytest.raises(ValueError):
         RationalPolygon((Vec2(1, 0), Vec2(1, 1), Vec2(0, 1), Vec2(0, 0)))  # wrong start
+    with pytest.raises(ValueError):
+        RationalPolygon((Vec2(0, 0), Vec2(F(1, 2), 0), Vec2(1, 0), Vec2(0, 1)))  # collinear run
+    # the last vertex is the second least, so each start puts the least elsewhere
+    vs = hull([Vec2(0, F(1, 7)), Vec2(1, F(1, 3)), Vec2(F(1, 2), 1)]).vertices
+    for k in range(1, len(vs)):
+        with pytest.raises(ValueError, match="lexicographically least"):
+            RationalPolygon(vs[k:] + vs[:k])
 
 
 def test_unit_square_edges():

@@ -23,9 +23,10 @@ def test_suite_result_lines_and_json():
     }
 
 
-def test_width_cap_skips_and_logs():
-    # an absurdly small cap: every instance is skipped, none certified
-    r = suite_family_grid(depth=0, width_cap=1)
+def test_work_limit_skips_and_logs(monkeypatch):
+    # an absurdly small limit: every instance is skipped, none certified
+    monkeypatch.setattr("pipgeom.ehrhart.CERTIFY_WORK_LIMIT", 1)
+    r = suite_family_grid(depth=0)
     assert r.passed
     assert all("[skipped]" in label for label, _, _ in r.checks)
     assert len(r.checks) == 13
