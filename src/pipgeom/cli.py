@@ -15,9 +15,9 @@ import sys
 import time
 
 from . import __version__
-from .constructions import ConstructionSpec, NotConstructibleError, build
+from .constructions import ConstructionSpec, build
 from .ehrhart import CERTIFY_WORK_LIMIT, certify_work, is_pseudointegral
-from .polygon import DegenerateHullError, RationalPolygon
+from .polygon import RationalPolygon
 from .suites import SUITES
 from .svg import render_svg
 from .vieta import VietaSolution, enumerate_reduced, family, is_vieta_reduced, jump_forest
@@ -46,6 +46,19 @@ _COORDINATE_BOUND = 10**CERTIFY_COORDINATE_DIGITS
 # coordinates have numerators near 3 * F_{2j+1}, about 0.418 * j digits:
 # 4,181 at the limit, inside CPython's 4,300-digit int-to-str limit.
 FIBONACCI_INDEX_LIMIT = 10**4
+
+# Most digits of each `construct --params` entry.  A family's coordinates are
+# sums and products of at most two parameters (t-xyz has denominators x * z),
+# so no printed integer has more than 4,000 digits, inside CPython's 4,300-digit
+# int-to-str limit.  Fibonacci indices have their own, smaller limit.
+CONSTRUCT_PARAMETER_DIGITS = 2000
+_PARAMETER_BOUND = 10**CONSTRUCT_PARAMETER_DIGITS
+
+# Largest `vieta --forest --max-z`.  The forest grows with the square of the
+# number of digits of max-z; b = 1 grows fastest: at the limit it has 21,132
+# nodes and takes about 1 s, 9 MB of JSON and 60 MB peak RSS (2-vCPU Xeon,
+# Python 3.11).  Every other b takes at most half of that.
+VIETA_MAX_Z_LIMIT = 10**100
 
 # Deepest family `vieta --family` grows.  The fastest-growing families
 # (b*x = 9) multiply z by about 6.85 per step, so at depth 1000 no entry
@@ -154,6 +167,9 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
         if args.max_z is None:
             print("error: --forest requires --max-z", file=sys.stderr)
             return USAGE_ERROR
+        if not 1 <= args.max_z <= VIETA_MAX_Z_LIMIT:
+            print("error: --max-z must be in 1..VIETA_MAX_Z_LIMIT = 10**100", file=sys.stderr)
+            return USAGE_ERROR
         inputs["max_z"] = args.max_z
         forest = jump_forest(args.b, args.max_z)
         results = {
@@ -186,15 +202,21 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         params = tuple(int(v) for v in args.params.split(",")) if args.params else ()
+        if any(abs(p) >= _PARAMETER_BOUND for p in params):
+            raise ValueError(
+                f"parameters must have at most CONSTRUCT_PARAMETER_DIGITS = {CONSTRUCT_PARAMETER_DIGITS} digits"
+            )
         if args.family == "fibonacci" and max(params, default=0) > FIBONACCI_INDEX_LIMIT:
             raise ValueError(f"index must be at most FIBONACCI_INDEX_LIMIT = {FIBONACCI_INDEX_LIMIT}")
         P = build(ConstructionSpec(args.family, params))
-    except (ValueError, NotConstructibleError, DegenerateHullError) as exc:
+        if args.svg:
+            # rendered in full before the file is opened, so a refusal writes nothing
+            svg = render_svg(P)
+            with open(args.svg, "w") as fh:
+                fh.write(svg)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_svg(P))
     # bare polygon JSON so the output pipes straight into `certify`
     _emit(P.to_json_dict(), started)
     return 0

@@ -13,9 +13,12 @@ Boundary counts need no floor sums.  On the edge from A to B of D * P
 (integer vertices, primitive step s), the lattice points of the line of
 the dilated edge exist only when the offset's reduced denominator den
 divides t.  Then an integer w with <w, s> = 1 numbers them by
-consecutive integers, so the closed edge of t * P holds
-floor(t*<w, B>/D) - ceil(t*<w, A>/D) + 1 of them: O(edges) integer steps
-per count.
+consecutive integers, so the half-open edge [A, B) of t * P holds
+ceil(t*<w, B>/D) - ceil(t*<w, A>/D) of them.  Half-open edges count
+every boundary lattice point exactly once: a lattice vertex t*A/D makes
+the offset of the edge it starts integral at t, so that edge's den
+divides t and counts the vertex, and the edge ending there does not.
+O(edges) integer steps per count.
 """
 
 from __future__ import annotations
@@ -89,21 +92,19 @@ def count_total(P: RationalPolygon, t: int = 1) -> int:
 def count_boundary(P: RationalPolygon, t: int = 1) -> int:
     """Number of lattice points on the boundary of t * P.
 
-    Per edge of `P.edge_table`, the lattice points of the edge's line
-    exist only when den divides t, and then <w, .> numbers them by
-    consecutive integers, so the closed edge of t * P holds
-    floor(t*<w, B>/D) - ceil(t*<w, A>/D) + 1 of them.  Each lattice
-    vertex (q_v divides t) lies on two closed edges and is counted once.
+    The sum, over the rows of `P.edge_table` with den | t, of the
+    ceil(t*<w, B>/D) - ceil(t*<w, A>/D) lattice points on the half-open
+    edge [A, B) of t * P; see the module docstring.
     """
     if t < 1:
         raise ValueError("dilation factor must be >= 1")
     table = P.edge_table
     D = table.denominator
     total = 0
-    for den, wa, wb in table.boundary:
+    for _, _, _, den, wa, wb in table.edges:
         if t % den == 0:
-            total += t * wb // D + (-t * wa) // D + 1
-    return total - sum(1 for q in table.vertex_periods if t % q == 0)
+            total += (-t * wa) // D - (-t * wb) // D
+    return total
 
 
 def count_interior(P: RationalPolygon, t: int = 1) -> int:

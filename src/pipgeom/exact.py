@@ -75,9 +75,6 @@ class Vec2:
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
     def __rmul__(self, k: Scalar) -> "Vec2":
         return Vec2(k * self.x, k * self.y)
 
@@ -145,9 +142,6 @@ class IntMat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def transpose(self) -> "IntMat2":
-        return IntMat2(self.a, self.c, self.b, self.d)
-
     def inverse(self) -> "IntMat2":
         """Exact inverse; requires |det| = 1 so the inverse is integral."""
         det = self.det()
@@ -181,7 +175,3 @@ class AffineMap:
     @classmethod
     def identity(cls) -> "AffineMap":
         return cls(IntMat2.identity(), Vec2(0, 0))
-
-    @classmethod
-    def translation(cls, t: Vec2) -> "AffineMap":
-        return cls(IntMat2.identity(), t)

@@ -11,9 +11,10 @@ Vertices are `Fraction`s, but the constructor checks the canonical form
 on the same homogeneous integers, and every edge fact comes from one
 integer table built from the vertices V = D * v of D * P,
 `RationalPolygon.edge_table`: primitive outer normals, offsets and
-lattice lengths, the floor-sum rows of `counting.count_total`, and the
-boundary rows from which `counting.count_boundary` counts and
-`boundary_points` lists the lattice points on each edge.
+lattice lengths, the floor-sum rows of `counting.count_total`, and one
+row per edge from which `counting.count_boundary` counts and
+`boundary_points` lists the lattice points on each half-open edge
+[A, B), so every boundary lattice point belongs to exactly one edge.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class Edge:
 
     `offset` is the common value of <normal, p> over the edge; the
     polygon lies in <normal, p> <= offset.  `steps` is <w, B> - <w, A>
-    from the edge's boundary row of `RationalPolygon.edge_table`: the
-    lattice length of the edge of D * P, for the denominator D.
+    from the edge's row of `RationalPolygon.edge_table`: the lattice
+    length of the edge of D * P, for the denominator D.
     """
 
     start: Vec2
@@ -87,9 +88,7 @@ class EdgeTable(NamedTuple):
     x_lo: int
     x_hi: int
     columns: tuple[tuple[int, int, int, int, int], ...]
-    boundary: tuple[tuple[int, int, int], ...]
-    vertex_periods: tuple[int, ...]
-    facets: tuple[tuple[int, int, int, int], ...]
+    edges: tuple[tuple[int, int, int, int, int, int], ...]
 
 
 class RationalPolygon:
@@ -155,19 +154,18 @@ class RationalPolygon:
         (lo, hi, m, a, c) = (lo, hi, den*|n_y|, den*n_x, num) per
         non-vertical edge: the edge spans lo/D <= x <= hi/D, and at column
         x of t * P an upper edge gives y <= (c*t - a*x) / m and a lower
-        edge y >= -(c*t - a*x) / m.  `boundary` holds (den, <w, A>, <w, B>)
-        per edge, with w an integer vector and <w, s> = 1, so that
-        <w, B> - <w, A> = g is the lattice length of the edge; the vertex
-        periods are q_v = D / gcd(D, V_x, V_y), the least t with t * v
-        integral.
+        edge y >= -(c*t - a*x) / m.  `edges` holds one row
+        (n_x, n_y, num, den, <w, A>, <w, B>) per edge, with w an integer
+        vector and <w, s> = 1, so that <w, B> - <w, A> = g is the lattice
+        length of the edge and <w, .> numbers the lattice points of the
+        edge's line by consecutive integers.
         """
         D, V = self.denominator, self.scaled_vertices
         # lists, not generators, feed every tuple below: tuple() of a
         # generator is resized to fit, and CPython then keeps the freed tuple
         # on the free list of its final size, so each op would leave one more
-        facets, columns, boundary, periods = [], [], [], []
+        columns, edges = [], []
         for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
-            periods.append(D // math.gcd(D, ax, ay))
             g = math.gcd(bx - ax, by - ay)
             sx, sy = (bx - ax) // g, (by - ay) // g
             # outward normal of a counterclockwise edge = clockwise rotation
@@ -175,22 +173,13 @@ class RationalPolygon:
             c = nx * ax + ny * ay
             h = math.gcd(c, D)
             num, den = c // h, D // h
-            facets.append((nx, ny, num, den))
             if ny:
                 lo, hi = (ax, bx) if ax <= bx else (bx, ax)
                 columns.append((lo, hi, den * abs(ny), den * nx, num))
             u, v = _dual_step(sx, sy)
-            boundary.append((den, u * ax + v * ay, u * bx + v * by))
+            edges.append((nx, ny, num, den, u * ax + v * ay, u * bx + v * by))
         xs = [x for x, _ in V]
-        return EdgeTable(
-            D,
-            min(xs),
-            max(xs),
-            tuple(columns),
-            tuple(boundary),
-            tuple(periods),
-            tuple(facets),
-        )
+        return EdgeTable(D, min(xs), max(xs), tuple(columns), tuple(edges))
 
     @cached_property
     def _edges(self) -> tuple[Edge, ...]:
@@ -198,24 +187,23 @@ class RationalPolygon:
         return tuple(
             [
                 Edge(a, b, Vec2(nx, ny), Fraction(num, den), wb - wa, table.denominator)
-                for a, b, (nx, ny, num, den), (_, wa, wb) in zip(
-                    vs, vs[1:] + vs[:1], table.facets, table.boundary
-                )
+                for a, b, (nx, ny, num, den, wa, wb) in zip(vs, vs[1:] + vs[:1], table.edges)
             ]
         )
 
     def boundary_points(self) -> set[tuple[int, int]]:
         """Lattice points on the boundary, from the rows of `edge_table`.
 
-        Only an edge with den = 1 holds any: those with <n, p> = num and
-        <w, p> = j for <w, A> <= D*j <= <w, B>, as det[[n_x, n_y], [u, v]] = 1.
+        Only an edge with den = 1 holds any: those p with <n, p> = num and
+        <w, p> = j for <w, A> <= D*j < <w, B>, as det[[n_x, n_y], [u, v]] = 1.
+        Each edge is half-open, so it lists its start but not its end.
         """
         table = self.edge_table
         D, points = table.denominator, set()
-        for (nx, ny, num, den), (_, wa, wb) in zip(table.facets, table.boundary):
+        for nx, ny, num, den, wa, wb in table.edges:
             if den == 1:
                 u, v = _dual_step(-ny, nx)
-                points.update((v * num - ny * j, nx * j - u * num) for j in range(-(-wa // D), wb // D + 1))
+                points.update((v * num - ny * j, nx * j - u * num) for j in range(-(-wa // D), -(-wb // D)))
         return points
 
     def edges(self) -> tuple[Edge, ...]:
@@ -225,9 +213,6 @@ class RationalPolygon:
     @property
     def is_integral(self) -> bool:
         return self.denominator == 1
-
-    def contains(self, p: Vec2) -> bool:
-        return all(e.normal.dot(p) <= e.offset for e in self._edges)
 
     def strictly_contains(self, p: Vec2) -> bool:
         return all(e.normal.dot(p) < e.offset for e in self._edges)

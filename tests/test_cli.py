@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -13,16 +14,19 @@ from hypothesis import strategies as st
 from pipgeom.cli import (
     CERTIFY_COORDINATE_DIGITS,
     CERTIFY_WORK_LIMIT,
+    CONSTRUCT_PARAMETER_DIGITS,
     FIBONACCI_INDEX_LIMIT,
     VERIFY_SEARCH_LIMIT,
     VIETA_DEPTH_LIMIT,
+    VIETA_MAX_Z_LIMIT,
     main,
 )
-from pipgeom.constructions import fibonacci_triangle, octagon_empty_boundary
+from pipgeom.constructions import _PARAM_COUNTS, _PIP_RANGES, fibonacci_triangle, octagon_empty_boundary
 from pipgeom.exact import Vec2
 from pipgeom.polygon import RationalPolygon, hull
 from pipgeom.suites import SUITES
-from pipgeom.vieta import all_reduced_solutions
+from pipgeom.svg import SVG_GRID_POINT_LIMIT
+from pipgeom.vieta import all_reduced_solutions, family
 
 
 def write_polygon(tmp_path, P, name="poly.json"):
@@ -369,6 +373,88 @@ def test_construct_fibonacci_at_the_index_limit_prints(capsys):
     assert len(json.loads(capsys.readouterr().out)["vertices"]) == 3
 
 
+@pytest.mark.parametrize("params", [str(10**CONSTRUCT_PARAMETER_DIGITS), "1," + "9" * (CONSTRUCT_PARAMETER_DIGITS + 1)])
+def test_construct_refuses_parameters_over_the_digit_limit(params, capsys, monkeypatch):
+    def construction_started(spec):
+        raise AssertionError("construction started")
+
+    monkeypatch.setattr("pipgeom.cli.build", construction_started)
+    assert main(["construct", "--family", "p10", "--params", params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"CONSTRUCT_PARAMETER_DIGITS = {CONSTRUCT_PARAMETER_DIGITS}" in captured.err
+
+
+def test_construct_every_family_prints_at_the_digit_limit(capsys):
+    top = 10**CONSTRUCT_PARAMETER_DIGITS - 1
+    # the last state below the limit of a b = 9 family, whose z grows about
+    # 6.85-fold per step; x divides y and z on every family
+    seed = next(s for s in all_reduced_solutions() if s.b == 9)
+    s = [st for st in family(seed, 3000) if st.z <= top][-1]
+    cases = [
+        ("example-b1", [top]),
+        ("example-b2", [top]),
+        ("scott-grid", [top // 2 - 3, top // 2 * 2]),
+        ("scott-grid", [top, 3]),
+        ("t-xyz", [s.x, s.y, s.z]),
+    ] + [(f"p{d}", [top // 5, slope * (top // 5) + intercept]) for d, (slope, intercept) in _PIP_RANGES.items()]
+    assert len(str(s.z)) == CONSTRUCT_PARAMETER_DIGITS
+    for name, params in cases:
+        assert main(["construct", "--family", name, "--params", ",".join(map(str, params))]) == 0
+        assert len(json.loads(capsys.readouterr().out)["vertices"]) >= 3
+
+
+@pytest.mark.parametrize("target", ["/nonexistent/x.svg", "directory"])
+def test_construct_svg_unwritable_path_exit_two(target, tmp_path, capsys):
+    path = tmp_path if target == "directory" else target
+    assert main(["construct", "--family", "fibonacci", "--params", "1", "--svg", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+# scott-grid (i, 2i + 6) is the rectangle [0, i + 1] x [0, 2], whose grid with
+# the one-unit margin has (i + 4) * 5 lattice points
+@pytest.mark.parametrize("params", ["1000000,2000006", f"{SVG_GRID_POINT_LIMIT // 5 - 3},{2 * (SVG_GRID_POINT_LIMIT // 5 - 3) + 6}"])
+def test_construct_svg_refuses_oversized_grid(params, tmp_path, capsys):
+    svg_path = tmp_path / "big.svg"
+    assert main(["construct", "--family", "scott-grid", "--params", params, "--svg", str(svg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"SVG_GRID_POINT_LIMIT = {SVG_GRID_POINT_LIMIT}" in captured.err
+    assert not svg_path.exists()
+
+
+def test_construct_svg_at_the_grid_limit_writes(tmp_path, capsys):
+    i = SVG_GRID_POINT_LIMIT // 5 - 4
+    svg_path = tmp_path / "limit.svg"
+    assert main(["construct", "--family", "scott-grid", "--params", f"{i},{2 * i + 6}", "--svg", str(svg_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["vertices"]
+    # one dot per grid point, boundary points drawn larger
+    assert svg_path.read_text().count("<circle") == SVG_GRID_POINT_LIMIT
+
+
+@pytest.mark.parametrize("max_z", [0, -1, VIETA_MAX_Z_LIMIT + 1, 10**4000])
+def test_vieta_forest_max_z_out_of_range_exit_two(max_z, capsys, monkeypatch):
+    def forest_started(*args):
+        raise AssertionError("the forest started")
+
+    monkeypatch.setattr("pipgeom.cli.jump_forest", forest_started)
+    assert main(["vieta", "--b", "1", "--forest", "--max-z", str(max_z)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "VIETA_MAX_Z_LIMIT" in captured.err
+
+
+def test_vieta_forest_at_the_max_z_limit_prints(capsys):
+    assert main(["vieta", "--b", "9", "--forest", "--max-z", str(VIETA_MAX_Z_LIMIT)]) == 0
+    forest = json.loads(capsys.readouterr().out)["results"]["forest"]
+    # z grows about 6.85-fold per jump in this forest, so it reaches past a seventh of the limit
+    top = max(int(node.split(",")[2]) for node in forest)
+    assert top <= VIETA_MAX_Z_LIMIT < 7 * top
+
+
 @pytest.mark.parametrize("den", [1000000007, CERTIFY_WORK_LIMIT // 3 + 1])
 def test_certify_refuses_oversized_work_up_front(den, tmp_path, capsys, monkeypatch):
     def certification_started(P):
@@ -490,3 +576,150 @@ def test_certify_fuzz_malformed_input_exits_two(tmp_path, data):
     else:
         assert code == 2
         assert out.getvalue() == ""
+
+
+def _run_main(argv):
+    """Exit code, stdout and stderr of one in-process run; argparse's refusals exit too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _as_int(text):
+    """The integer argparse's int() reads from text, or None where it refuses."""
+    return int(text) if re.fullmatch(r"-?[0-9]{1,4300}", text) else None
+
+
+# integer flags: small values, values past each limit, digit runs longer than
+# int() accepts, and text with no digits at all
+INT_TEXT = (
+    st.integers(-3, 12).map(str)
+    | st.integers(-(10**15), 10**15).map(str)
+    | st.sampled_from([VIETA_DEPTH_LIMIT, VIETA_DEPTH_LIMIT + 1, VIETA_MAX_Z_LIMIT + 1]).map(str)
+    | (st.integers(101, 5000) | st.sampled_from([CONSTRUCT_PARAMETER_DIGITS + 1, 4300, 4301])).map(lambda k: "9" * k)
+    | st.text(alphabet=",-x ./", max_size=4)
+)
+REDUCED_TEXT = st.sampled_from(all_reduced_solutions()).flatmap(
+    lambda s: st.permutations([s.x, s.y, s.z]).map(lambda t: ",".join(map(str, t)))
+)
+SEED_TEXT = REDUCED_TEXT | st.lists(INT_TEXT, min_size=1, max_size=4).map(",".join)
+
+
+@st.composite
+def vieta_argv(draw):
+    """An argv for `vieta`, with the flag values it carries."""
+    fields = {}
+    if draw(st.integers(0, 4)):
+        fields["--b"] = draw(st.integers(1, 9).map(str) | INT_TEXT)
+    for flag in ("--max-z", "--depth"):
+        if draw(st.booleans()):
+            fields[flag] = draw(INT_TEXT)
+    if draw(st.booleans()):
+        fields["--format"] = draw(st.sampled_from(["json", "table", "xml"]))
+    mode = st.sampled_from(["--reduced", "--forest", "--family"])
+    modes = draw(mode.map(lambda m: [m]) | st.lists(mode, unique=True, max_size=3))
+    argv = ["vieta"] + [token for flag, value in fields.items() for token in (flag, value)]
+    for mode in modes:
+        argv.append(mode)
+        if mode == "--family":
+            fields[mode] = draw(SEED_TEXT)
+            argv.append(fields[mode])
+    return argv, fields, modes
+
+
+def _vieta_well_formed(fields, modes) -> bool:
+    ints = {flag: _as_int(fields[flag]) for flag in ("--b", "--max-z", "--depth") if flag in fields}
+    b, depth = ints.get("--b"), ints.get("--depth", 4)
+    if None in ints.values() or b is None or not 1 <= b <= 9 or not 0 <= depth <= VIETA_DEPTH_LIMIT:
+        return False
+    if fields.get("--format", "json") == "xml" or len(modes) != 1:
+        return False
+    if modes == ["--forest"]:
+        return ints.get("--max-z") is not None and 1 <= ints["--max-z"] <= VIETA_MAX_Z_LIMIT
+    if modes == ["--family"]:
+        seed = fields["--family"]
+        return re.fullmatch(r"[0-9]+,[0-9]+,[0-9]+", seed) is not None and tuple(
+            sorted(map(int, seed.split(",")))
+        ) in {(s.x, s.y, s.z) for s in all_reduced_solutions() if s.b == b}
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(vieta_argv())
+def test_vieta_fuzz_argv_exit_codes(case):
+    argv, fields, modes = case
+    code, out, err = _run_main(argv)
+    assert "Traceback" not in err
+    if _vieta_well_formed(fields, modes):
+        assert code == 0 and out
+    else:
+        assert code == 2
+        assert out == ""
+
+
+@st.composite
+def construct_argv(draw):
+    """An argv for `construct`, and whether it must build (True), must be refused (False) or may do either (None)."""
+    if draw(st.booleans()):
+        # well formed by construction, with parameters small enough to draw
+        name = draw(st.sampled_from(sorted(_PARAM_COUNTS)))
+        i = draw(st.integers(1, 40))
+        if name == "reflexive":
+            params = [draw(st.integers(0, 15))]
+        elif name == "fibonacci":
+            params = [draw(st.integers(1, 30))]
+        elif name == "t-xyz":
+            s = draw(st.sampled_from([s for s in all_reduced_solutions() if s.y % s.x == 0 and s.z % s.x == 0]))
+            params = [s.x, s.y, s.z]
+        elif name == "scott-grid":
+            params = [i, draw(st.integers(3, 9 if i == 1 else 2 * i + 6))]
+        elif name.startswith("p"):
+            slope, intercept = _PIP_RANGES[int(name[1:])]
+            params = [i, draw(st.integers(2, slope * i + intercept))]
+        else:
+            params = [i]
+        expect, text = True, ",".join(map(str, params))
+    else:
+        name = draw(st.sampled_from(sorted(_PARAM_COUNTS)) | st.text(alphabet="abp3-", max_size=5))
+        pieces = draw(st.lists(INT_TEXT, max_size=4))
+        text = ",".join(pieces)
+        values = [_as_int(p) for p in text.split(",")] if text else []
+        malformed = (
+            name not in _PARAM_COUNTS
+            or None in values
+            or len(values) != _PARAM_COUNTS[name]
+            or any(abs(v) >= 10**CONSTRUCT_PARAMETER_DIGITS for v in values)
+            or (name == "fibonacci" and values[0] > FIBONACCI_INDEX_LIMIT)
+            or (name == "reflexive" and not 0 <= values[0] <= 15)
+        )
+        expect = False if malformed else None
+    svg = draw(st.sampled_from([None, "file", "directory", "missing"]))
+    if svg in ("directory", "missing"):
+        expect = False
+    return name, text, svg, expect
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(construct_argv())
+def test_construct_fuzz_argv_exit_codes(tmp_path, case):
+    name, text, svg, expect = case
+    svg_path = tmp_path / "fuzz.svg"
+    svg_path.unlink(missing_ok=True)
+    argv = ["construct", "--family", name, "--params", text]
+    if svg is not None:
+        argv += ["--svg", str({"file": svg_path, "directory": tmp_path, "missing": tmp_path / "no" / "x.svg"}[svg])]
+    code, out, err = _run_main(argv)
+    assert "Traceback" not in err
+    if expect is not None:
+        assert code == (0 if expect else 2)
+    if code == 0:
+        assert len(RationalPolygon.from_json_dict(json.loads(out)).vertices) >= 3
+        assert svg != "file" or svg_path.read_text().startswith("<svg")
+    else:
+        assert code == 2
+        assert out == ""
+        assert not svg_path.exists()

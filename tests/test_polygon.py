@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from pipgeom.constructions import (
     reflexive_catalog,
     t_xyz,
 )
+from pipgeom.counting import count_boundary
 from pipgeom.exact import AffineMap, IntMat2, Vec2
 from pipgeom.polygon import (
     DegenerateHullError,
@@ -130,11 +132,19 @@ def test_edges_match_fraction_normals_and_offsets():
             assert e.lattice_length() == fraction_lattice_length(e.start, e.end)
 
 
-def test_edge_table_vertex_periods(rng):
-    for _ in range(40):
-        P = random_polygon(rng, max_den=9)
-        periods = [next(t for t in range(1, P.denominator + 1) if (t * v).is_integral) for v in P.vertices]
-        assert list(P.edge_table.vertex_periods) == periods
+def test_boundary_points_match_brute_force():
+    for P in _catalog_and_random():
+        facets = fraction_edges(P)
+        xmin, xmax, ymin, ymax = P.bounding_box()
+        brute = set()
+        for x in range(math.ceil(xmin), math.floor(xmax) + 1):
+            for y in range(math.ceil(ymin), math.floor(ymax) + 1):
+                levels = [n.dot(Vec2(x, y)) - c for n, c in facets]
+                if max(levels) == 0:
+                    brute.add((x, y))
+        points = P.boundary_points()
+        assert points == brute
+        assert len(points) == count_boundary(P, 1)
 
 
 def test_svg_output_unchanged():
