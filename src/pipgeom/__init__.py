@@ -15,7 +15,7 @@ from .ehrhart import (
     is_pseudointegral,
     reconstruct_quasipolynomial,
 )
-from .exact import AffineMap, IntMat2, Vec2, det2, primitive, rat_ceil, rat_floor
+from .exact import AffineMap, IntMat2, Vec2, det2, primitive
 from .polygon import Edge, RationalPolygon, hull, triangle_invariant
 from .vieta import (
     FamilyState,
@@ -55,8 +55,6 @@ __all__ = [
     "is_vieta_reduced",
     "jump_forest",
     "primitive",
-    "rat_ceil",
-    "rat_floor",
     "reconstruct_quasipolynomial",
     "triangle_invariant",
     "verify_general_bound",

@@ -17,6 +17,7 @@ import time
 from . import __version__
 from .constructions import ConstructionSpec, build
 from .ehrhart import CERTIFY_WORK_LIMIT, certify_work, is_pseudointegral
+from .exact import parse_integer
 from .polygon import RationalPolygon
 from .suites import SUITES
 from .svg import render_svg
@@ -66,16 +67,14 @@ VIETA_MAX_Z_LIMIT = 10**100
 # all 13 reduced seeds print at the limit, about 10 MB of JSON in total.
 VIETA_DEPTH_LIMIT = 1000
 
-_VERIFY_MINIMUM = {"bound": 1, "n": 2, "depth": 0, "count": 1}
-
-# The flags each suite reads, each mapped to the suite's keyword argument
-# (None for nvar-bound, which folds --n and --bound into one case).  Any
-# other numeric flag is refused.
+# The numeric flags each suite reads, each mapped to its least value; any
+# other numeric flag is refused.  A suite takes each flag as the keyword of
+# the same name, except nvar-bound, which folds --n and --bound into one case.
 _SUITE_FLAGS = {
-    "b-sweep": {"bound": "bound"},
-    "nvar-bound": {"n": None, "bound": None},
-    "family-grid": {"depth": "depth"},
-    "properties": {"count": "count"},
+    "b-sweep": {"bound": 1},
+    "nvar-bound": {"n": 2, "bound": 1},
+    "family-grid": {"depth": 0},
+    "properties": {"count": 1},
 }
 
 
@@ -146,15 +145,26 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
     if not 1 <= args.b <= 9:
         print("error: --b must be in 1..9", file=sys.stderr)
         return USAGE_ERROR
-    if not 0 <= args.depth <= VIETA_DEPTH_LIMIT:
+    modes = [mode for mode in ("reduced", "forest", "family") if getattr(args, mode)]
+    if len(modes) != 1:
+        print("error: choose exactly one of --reduced, --forest, --family", file=sys.stderr)
+        return USAGE_ERROR
+    # each mode reads only its own flags, as each `verify` suite does
+    unread = (
+        "--max-z" if args.max_z is not None and not args.forest
+        else "--depth" if args.depth is not None and not args.family
+        else "--format table" if args.format == "table" and args.forest
+        else None
+    )
+    if unread:
+        print(f"error: vieta --{modes[0]} does not read {unread}", file=sys.stderr)
+        return USAGE_ERROR
+    depth = 4 if args.depth is None else args.depth
+    if not 0 <= depth <= VIETA_DEPTH_LIMIT:
         print(
-            f"error: --depth must be in 0..VIETA_DEPTH_LIMIT = {VIETA_DEPTH_LIMIT}, got {args.depth}",
+            f"error: --depth must be in 0..VIETA_DEPTH_LIMIT = {VIETA_DEPTH_LIMIT}, got {depth}",
             file=sys.stderr,
         )
-        return USAGE_ERROR
-    modes = sum(1 for flag in (args.reduced, args.forest, args.family) if flag)
-    if modes != 1:
-        print("error: choose exactly one of --reduced, --forest, --family", file=sys.stderr)
         return USAGE_ERROR
     inputs: dict = {"b": args.b}
     if args.reduced:
@@ -180,7 +190,7 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
         }
     else:
         try:
-            x, y, z = (int(v) for v in args.family.split(","))
+            x, y, z = (parse_integer(v) for v in args.family.split(","))
             seed = VietaSolution.from_triple(x, y, z)
         except ValueError as exc:
             print(f"error: bad --family seed: {exc}", file=sys.stderr)
@@ -188,8 +198,8 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
         if seed.b != args.b or not is_vieta_reduced(seed):
             print("error: --family seed must be a reduced solution for --b", file=sys.stderr)
             return USAGE_ERROR
-        inputs |= {"seed": seed.triple(), "depth": args.depth}
-        states = family(seed, args.depth)
+        inputs |= {"seed": seed.triple(), "depth": depth}
+        states = family(seed, depth)
         if args.format == "table":
             print("\n".join(f"{st.j:3d}  x={st.x}  y={st.y}  z={st.z}" for st in states))
             return 0
@@ -201,7 +211,7 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
-        params = tuple(int(v) for v in args.params.split(",")) if args.params else ()
+        params = tuple(parse_integer(v) for v in args.params.split(",")) if args.params else ()
         if any(abs(p) >= _PARAMETER_BOUND for p in params):
             raise ValueError(
                 f"parameters must have at most CONSTRUCT_PARAMETER_DIGITS = {CONSTRUCT_PARAMETER_DIGITS} digits"
@@ -243,21 +253,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: unknown suite {args.suite!r}; known: {sorted(SUITES)}", file=sys.stderr)
         return USAGE_ERROR
     read = _SUITE_FLAGS.get(args.suite, {})
-    for name, least in _VERIFY_MINIMUM.items():
-        value = getattr(args, name)
-        if value is None:
-            continue
-        flag = "--" + name.replace("_", "-")
+    given = {name: value for name in ("bound", "n", "depth", "count") if (value := getattr(args, name)) is not None}
+    for name, value in given.items():
         if name not in read:
-            print(f"error: suite {args.suite} does not read {flag}", file=sys.stderr)
+            print(f"error: suite {args.suite} does not read --{name}", file=sys.stderr)
             return USAGE_ERROR
-        if value < least:
-            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+        if value < read[name]:
+            print(f"error: --{name} must be at least {read[name]}, got {value}", file=sys.stderr)
             return USAGE_ERROR
     if args.suite == "nvar-bound" and args.bound is not None and args.n is None:
         print("error: suite nvar-bound reads --bound only together with --n", file=sys.stderr)
         return USAGE_ERROR
-    kwargs = {kw: getattr(args, name) for name, kw in read.items() if kw and getattr(args, name) is not None}
+    kwargs = {} if args.suite == "nvar-bound" else given
     search = None
     if args.suite == "b-sweep" and args.bound is not None:
         search = (3, args.bound)
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forest", action="store_true", help="jump graph up to --max-z")
     p.add_argument("--max-z", type=int, default=None)
     p.add_argument("--family", metavar="X,Y,Z", help="grow the family from a reduced seed")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=int, default=None, help="family depth (default 4)")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=_cmd_vieta)
 

@@ -19,16 +19,6 @@ Scalar = int | Fraction
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
-def rat_floor(q: Scalar) -> int:
-    """Greatest integer <= q, exact for negatives (floor(-7/2) = -4)."""
-    return math.floor(q)
-
-
-def rat_ceil(q: Scalar) -> int:
-    """Least integer >= q."""
-    return math.ceil(q)
-
-
 def format_rational(q: Scalar) -> str:
     """Render q as "p/q" in lowest terms, or bare "p" when q is integral."""
     q = Fraction(q)
@@ -56,6 +46,14 @@ def parse_rational(s: str) -> Fraction:
     if den == 0:
         raise ValueError(f"zero denominator in {s!r}")
     return Fraction(int(num), den)
+
+
+def parse_integer(s: str) -> int:
+    """An integer in the grammar of :func:`parse_rational`, without "/q"."""
+    m = _RATIONAL.fullmatch(s)
+    if m is None or m.group(2) is not None:
+        raise ValueError(f"integer must be an optional sign and ASCII digits, got {s!r}")
+    return int(m.group(1))
 
 
 @dataclass(frozen=True)

@@ -324,7 +324,11 @@ def edge_vector_from_normals(
 def edge_lattice_length_from_normals(
     normals: Sequence[Vec2], offsets: Sequence[Scalar], i: int
 ) -> Fraction:
-    """Lattice length of edge i from primitive facet normals and offsets."""
+    """Lattice length of edge i from primitive facet normals and offsets.
+
+    For a triangle with normals u (edge i), v, w and offsets alpha, beta, gamma
+    it is (alpha*x + beta*y + gamma*z) / (y*z), x = det(v, w), y = det(w, u), z = det(u, v).
+    """
     n = len(normals)
     um, u, up = normals[(i - 1) % n], normals[i % n], normals[(i + 1) % n]
     cm, c, cp = (Fraction(offsets[(i + k) % n]) for k in (-1, 0, 1))
@@ -333,26 +337,6 @@ def edge_lattice_length_from_normals(
     if d_mi <= 0 or d_ip <= 0:
         raise NotConvexOrderError("consecutive normal determinants must be positive")
     return (cm * d_ip - c * det2(um, up) + cp * d_mi) / (d_mi * d_ip)
-
-
-def triangle_edge_lattice_length(
-    normals: Sequence[Vec2], offsets: Sequence[Scalar], i: int
-) -> Fraction:
-    """Triangle specialization of the lattice-length formula.
-
-    With u the primitive outer normal of edge i and v, w the remaining
-    normals counterclockwise from it, the length is
-    (alpha*x + beta*y + gamma*z) / (x*y*z) * x for the pairwise
-    determinants x = det(v, w), y = det(w, u), z = det(u, v).
-    """
-    if len(normals) != 3:
-        raise ValueError("specialized formula applies to triangles only")
-    u, v, w = (normals[(i + k) % 3] for k in (0, 1, 2))
-    alpha, beta, gamma = (Fraction(offsets[(i + k) % 3]) for k in (0, 1, 2))
-    x, y, z = det2(v, w), det2(w, u), det2(u, v)
-    if x <= 0 or y <= 0 or z <= 0:
-        raise NotConvexOrderError("triangle normals must be in counterclockwise order")
-    return (alpha * x + beta * y + gamma * z) / (x * y * z) * x
 
 
 def triangle_invariant(T: RationalPolygon) -> tuple[int, int, int]:

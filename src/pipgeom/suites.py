@@ -18,7 +18,6 @@ from .polygon import (
     edge_lattice_length_from_normals,
     edge_vector_from_normals,
     hull,
-    triangle_edge_lattice_length,
     triangle_invariant,
 )
 from .vieta import VietaSolution
@@ -365,9 +364,6 @@ def suite_properties(count: int = 100, seed: int = 20250810) -> SuiteResult:
         for k, e in enumerate(edges):
             ok &= edge_vector_from_normals(normals, offsets, k) == e.end - e.start
             ok &= edge_lattice_length_from_normals(normals, offsets, k) == e.lattice_length()
-        if len(edges) == 3:
-            for k in range(3):
-                ok &= triangle_edge_lattice_length(normals, offsets, k) == edges[k].lattice_length()
     res.add(f"facet-data formulas match direct geometry, {count} polygons", ok)
 
     ok = True

@@ -8,9 +8,9 @@ feeds back into the geometry.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .exact import rat_ceil, rat_floor
 from .polygon import RationalPolygon
 
 
@@ -35,8 +35,8 @@ def render_svg(P: RationalPolygon) -> str:
     points over the bounding box has more than SVG_GRID_POINT_LIMIT points.
     """
     xmin, xmax, ymin, ymax = P.bounding_box()
-    gx0, gx1 = rat_floor(xmin) - MARGIN, rat_ceil(xmax) + MARGIN
-    gy0, gy1 = rat_floor(ymin) - MARGIN, rat_ceil(ymax) + MARGIN
+    gx0, gx1 = math.floor(xmin) - MARGIN, math.ceil(xmax) + MARGIN
+    gy0, gy1 = math.floor(ymin) - MARGIN, math.ceil(ymax) + MARGIN
     grid = (gx1 - gx0 + 1) * (gy1 - gy0 + 1)
     if grid > SVG_GRID_POINT_LIMIT:
         raise ValueError(f"the SVG grid has {grid} lattice points, over SVG_GRID_POINT_LIMIT = {SVG_GRID_POINT_LIMIT}")

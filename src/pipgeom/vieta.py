@@ -14,19 +14,18 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable
 
 
 class BoundViolationError(RuntimeError):
     """An enumerated solution broke a proven bound; must never fire."""
 
 
-def is_solution(x: int, y: int, z: int) -> int | None:
-    """The integer b = (x+y+z)^2/(xyz), or None when xyz does not divide."""
-    if min(x, y, z) < 1:
+def is_solution(*entries: int) -> int | None:
+    """The integer b = (sum)^2/(product) of the entries, or None when it is not one."""
+    if min(entries) < 1:
         raise ValueError("entries must be positive")
-    s = x + y + z
-    p = x * y * z
+    s = sum(entries)
+    p = math.prod(entries)
     if (s * s) % p:
         return None
     return (s * s) // p
@@ -82,12 +81,8 @@ def vieta_jump(s: VietaSolution, position: int) -> VietaSolution:
 
 
 def vieta_reduce(s: VietaSolution) -> VietaSolution:
-    """Jump the largest entry down until z <= x + y; terminates since z drops."""
-    while not is_vieta_reduced(s):
-        nxt = vieta_jump(s, 2)
-        assert nxt.z < s.z
-        s = nxt
-    return s
+    """Jump the largest entry down until z <= x + y; see `reduce_tuple`."""
+    return VietaSolution(*reduce_tuple(NTuple(s.triple(), s.b)).values, s.b)
 
 
 def enumerate_reduced(b: int) -> frozenset[VietaSolution]:
@@ -299,23 +294,17 @@ class NTuple:
             raise ValueError(f"{self.values} is not a solution for b={self.b}")
 
 
-def tuple_b_value(values: Iterable[int]) -> int | None:
-    vals = tuple(values)
-    if min(vals) < 1:
-        raise ValueError("entries must be positive")
-    s = sum(vals)
-    p = math.prod(vals)
-    return (s * s) // p if (s * s) % p == 0 else None
-
-
 def reduce_tuple(t: NTuple) -> NTuple:
-    """n-variable reduction: jump the largest entry until it is <= the rest."""
+    """n-variable reduction: jump the largest entry until it is <= the rest.
+
+    The largest entry and its image multiply to (sum rest)^2 < last^2, so
+    each jump keeps the entries positive and lowers the largest one.
+    """
     values, b = t.values, t.b
     while values[-1] > sum(values[:-1]):
         rest = values[:-1]
-        s_rest = sum(rest)
-        new_last = b * math.prod(rest) - 2 * s_rest - values[-1]
-        assert new_last >= 1  # product of the two roots is (sum rest)^2 > 0
+        new_last = b * math.prod(rest) - 2 * sum(rest) - values[-1]
+        assert 1 <= new_last < values[-1]
         values = tuple(sorted(rest + (new_last,)))
     return NTuple(values, b)
 
@@ -328,16 +317,6 @@ class GeneralBoundReport:
     max_b: int
     b_values: frozenset[int]
     all_reduce: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "search_bound": self.search_bound,
-            "solutions": [[*t.values, t.b] for t in self.solutions],
-            "max_b": self.max_b,
-            "b_values": sorted(self.b_values),
-            "all_reduce": self.all_reduce,
-        }
 
 
 def verify_general_bound(n: int, search_bound: int) -> GeneralBoundReport:
@@ -362,11 +341,7 @@ def verify_general_bound(n: int, search_bound: int) -> GeneralBoundReport:
         if b > n * n:
             raise BoundViolationError(f"{combo} gives b={b} > n^2={n * n}")
         solutions.append(NTuple(combo, b))
-    all_reduce = True
-    for t in solutions:
-        r = reduce_tuple(t)
-        if r.values[-1] > sum(r.values[:-1]):
-            all_reduce = False
+    all_reduce = all(r.values[-1] <= sum(r.values[:-1]) for r in map(reduce_tuple, solutions))
     b_values = frozenset(t.b for t in solutions)
     return GeneralBoundReport(
         n=n,

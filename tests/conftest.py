@@ -40,11 +40,11 @@ from itertools import combinations_with_replacement
 import pytest
 
 from pipgeom.counting import count_total
-from pipgeom.exact import Vec2, primitive, rat_ceil, rat_floor
+from pipgeom.exact import Vec2, primitive
 from pipgeom.polygon import DegenerateHullError, RationalPolygon, hull
 from pipgeom.suites import _random_polygon as random_polygon
 from pipgeom.suites import _random_unimodular as random_unimodular
-from pipgeom.vieta import NTuple, _square_divisors, tuple_b_value
+from pipgeom.vieta import NTuple, _square_divisors, is_solution
 
 
 def brute_counts(P: RationalPolygon, t: int = 1) -> tuple[int, int, int]:
@@ -52,8 +52,8 @@ def brute_counts(P: RationalPolygon, t: int = 1) -> tuple[int, int, int]:
     edges = P.edges()
     xmin, xmax, ymin, ymax = P.bounding_box()
     total = boundary = 0
-    for x in range(rat_ceil(t * xmin), rat_floor(t * xmax) + 1):
-        for y in range(rat_ceil(t * ymin), rat_floor(t * ymax) + 1):
+    for x in range(math.ceil(t * xmin), math.floor(t * xmax) + 1):
+        for y in range(math.ceil(t * ymin), math.floor(t * ymax) + 1):
             p = Vec2(x, y)
             vals = [(e.normal.dot(p), t * e.offset) for e in edges]
             if all(v <= c for v, c in vals):
@@ -82,7 +82,7 @@ def _count_total_python(P: RationalPolygon, t: int) -> int:
             lowers.append((a, b, c))
     xmin, xmax, _, _ = P.bounding_box()
     total = 0
-    for x in range(rat_ceil(t * xmin), rat_floor(t * xmax) + 1):
+    for x in range(math.ceil(t * xmin), math.floor(t * xmax) + 1):
         hi = min((c * t - a * x) // b for a, b, c in uppers)
         # ceil(A/b) for b < 0 is -(A // -b)
         lo = max(-((c * t - a * x) // -b) for a, b, c in lowers)
@@ -115,8 +115,8 @@ def fraction_fit_coeffs(P: RationalPolygon) -> tuple[tuple[Fraction, Fraction, F
 def brute_segment_points(a: Vec2, b: Vec2) -> int:
     """Lattice points on [a, b] by scanning the bounding box."""
     count = 0
-    for x in range(rat_ceil(min(a.x, b.x)), rat_floor(max(a.x, b.x)) + 1):
-        for y in range(rat_ceil(min(a.y, b.y)), rat_floor(max(a.y, b.y)) + 1):
+    for x in range(math.ceil(min(a.x, b.x)), math.floor(max(a.x, b.x)) + 1):
+        for y in range(math.ceil(min(a.y, b.y)), math.floor(max(a.y, b.y)) + 1):
             p = Vec2(x, y)
             cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
             within = min(a.x, b.x) <= p.x <= max(a.x, b.x) and min(a.y, b.y) <= p.y <= max(a.y, b.y)
@@ -149,8 +149,8 @@ def lattice_progression(a: Vec2, b: Vec2) -> tuple[tuple[int, int], tuple[int, i
     norm = dx * dx + dy * dy
     s0 = ((x0 - a.x) * dx + (y0 - a.y) * dy) / norm
     length = (w.x * dx + w.y * dy) / norm
-    k0 = rat_ceil(-s0)
-    return (x0 + k0 * dx, y0 + k0 * dy), (dx, dy), rat_floor(length - s0) - k0 + 1
+    k0 = math.ceil(-s0)
+    return (x0 + k0 * dx, y0 + k0 * dy), (dx, dy), math.floor(length - s0) - k0 + 1
 
 
 def segment_lattice_points(a: Vec2, b: Vec2) -> int:
@@ -226,7 +226,7 @@ def brute_general_bound(n: int, bound: int) -> tuple[NTuple, ...]:
     """Every sorted n-tuple with entries <= bound and integer b, in order."""
     solutions = []
     for combo in combinations_with_replacement(range(1, bound + 1), n):
-        b = tuple_b_value(combo)
+        b = is_solution(*combo)
         if b is not None:
             solutions.append(NTuple(combo, b))
     return tuple(solutions)
@@ -256,7 +256,7 @@ def pruned_general_bound(n: int, bound: int) -> tuple[NTuple, ...]:
         lasts = divs[sum(prefix)]
         for v in lasts[bisect_left(lasts, prefix[-1]) :]:
             combo = prefix + (v,)
-            b = tuple_b_value(combo)
+            b = is_solution(*combo)
             if b is not None:
                 solutions.append(NTuple(combo, b))
     return tuple(solutions)

@@ -146,6 +146,30 @@ def test_vieta_usage_errors(capsys):
     assert main(["vieta", "--b", "8", "--family", "1,1,1"]) == 2  # wrong b
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--reduced", "--max-z", "5"], "--max-z"),
+        (["--family", "1,1,1", "--max-z", "5"], "--max-z"),
+        (["--reduced", "--depth", "4"], "--depth"),
+        (["--forest", "--max-z", "50", "--depth", "7"], "--depth"),
+        (["--forest", "--max-z", "50", "--format", "table"], "--format table"),
+    ],
+)
+def test_vieta_refuses_flags_the_mode_does_not_read(argv, flag, capsys):
+    assert main(["vieta", "--b", "9", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"does not read {flag}" in captured.err
+
+
+@pytest.mark.parametrize("seed", ["0_1,1,1", "\u0661,1,1", "1/1,1,1"])
+def test_vieta_family_seed_takes_certify_integers(seed, capsys):
+    assert main(["vieta", "--b", "9", "--family", seed]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["vieta", "--b", "9", "--family", " 1,+1,1"]) == 0
+
+
 @pytest.mark.parametrize("depth", [-1, VIETA_DEPTH_LIMIT + 1])
 def test_vieta_depth_out_of_range_exit_two(depth, capsys, monkeypatch):
     def family_started(*args):
@@ -383,6 +407,14 @@ def test_construct_refuses_parameters_over_the_digit_limit(params, capsys, monke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"CONSTRUCT_PARAMETER_DIGITS = {CONSTRUCT_PARAMETER_DIGITS}" in captured.err
+
+
+@pytest.mark.parametrize("params", [" 1_0,+4", "\u0661,4", "1_0,4", "4/1,4"])
+def test_construct_refuses_parameters_certify_would_refuse(params, capsys):
+    assert main(["construct", "--family", "p4", "--params", params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sign and ASCII digits" in captured.err
 
 
 def test_construct_every_family_prints_at_the_digit_limit(capsys):
@@ -634,15 +666,26 @@ def vieta_argv(draw):
 def _vieta_well_formed(fields, modes) -> bool:
     ints = {flag: _as_int(fields[flag]) for flag in ("--b", "--max-z", "--depth") if flag in fields}
     b, depth = ints.get("--b"), ints.get("--depth", 4)
-    if None in ints.values() or b is None or not 1 <= b <= 9 or not 0 <= depth <= VIETA_DEPTH_LIMIT:
+    if None in ints.values() or b is None or not 1 <= b <= 9:
         return False
     if fields.get("--format", "json") == "xml" or len(modes) != 1:
         return False
+    # each mode refuses the flags it does not read
+    if "--max-z" in fields and modes != ["--forest"]:
+        return False
+    if "--depth" in fields and modes != ["--family"]:
+        return False
     if modes == ["--forest"]:
-        return ints.get("--max-z") is not None and 1 <= ints["--max-z"] <= VIETA_MAX_Z_LIMIT
+        return (
+            fields.get("--format") != "table"
+            and ints.get("--max-z") is not None
+            and 1 <= ints["--max-z"] <= VIETA_MAX_Z_LIMIT
+        )
     if modes == ["--family"]:
+        if not 0 <= depth <= VIETA_DEPTH_LIMIT:
+            return False
         seed = fields["--family"]
-        return re.fullmatch(r"[0-9]+,[0-9]+,[0-9]+", seed) is not None and tuple(
+        return re.fullmatch(r"\s*\+?[0-9]+\s*(,\s*\+?[0-9]+\s*){2}", seed) is not None and tuple(
             sorted(map(int, seed.split(",")))
         ) in {(s.x, s.y, s.z) for s in all_reduced_solutions() if s.b == b}
     return True
@@ -685,9 +728,9 @@ def construct_argv(draw):
         expect, text = True, ",".join(map(str, params))
     else:
         name = draw(st.sampled_from(sorted(_PARAM_COUNTS)) | st.text(alphabet="abp3-", max_size=5))
-        pieces = draw(st.lists(INT_TEXT, max_size=4))
+        pieces = draw(st.lists(INT_TEXT | st.sampled_from(["+4", " 7 ", "1_0", "\u0661", "4/1"]), max_size=4))
         text = ",".join(pieces)
-        values = [_as_int(p) for p in text.split(",")] if text else []
+        values = [_as_int(p.strip().removeprefix("+")) for p in text.split(",")] if text else []
         malformed = (
             name not in _PARAM_COUNTS
             or None in values

@@ -10,32 +10,12 @@ from pipgeom.exact import (
     Vec2,
     det2,
     format_rational,
+    parse_integer,
     parse_rational,
     primitive,
-    rat_ceil,
-    rat_floor,
 )
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
-
-
-def test_floor_examples():
-    assert rat_floor(Fraction(7, 2)) == 3
-    assert rat_floor(Fraction(-7, 2)) == -4
-    assert rat_floor(Fraction(-3, 1)) == -3
-
-
-def test_ceil_examples():
-    assert rat_ceil(Fraction(7, 2)) == 4
-    assert rat_ceil(Fraction(-7, 2)) == -3
-    assert rat_ceil(Fraction(0, 1)) == 0
-
-
-@given(rationals)
-def test_floor_ceil_relations(q):
-    f = rat_floor(q)
-    assert f <= q < f + 1
-    assert rat_ceil(q) == -rat_floor(-q)
 
 
 def test_det2_examples():
@@ -120,6 +100,17 @@ BAD_RATIONALS = [
 def test_parse_rational_rejects_other_strings(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), (" -3 ", -3), ("+5", 5), ("007", 7)])
+def test_parse_integer_accepts_signed_digits(text, value):
+    assert parse_integer(text) == value
+
+
+@pytest.mark.parametrize("text", BAD_RATIONALS + ["4/1", "6/3\n"])
+def test_parse_integer_rejects_other_strings(text):
+    with pytest.raises(ValueError):
+        parse_integer(text)
 
 
 def test_vec2_is_normalized_and_hashable():

@@ -22,7 +22,6 @@ from pipgeom.polygon import (
     edge_lattice_length_from_normals,
     edge_vector_from_normals,
     hull,
-    triangle_edge_lattice_length,
     triangle_invariant,
 )
 from pipgeom.svg import render_svg
@@ -304,7 +303,6 @@ def test_formulas_match_geometry_randomized(rng):
             assert edge_vector_from_normals(normals, offsets, k) == e.end - e.start
             length = e.lattice_length()
             assert edge_lattice_length_from_normals(normals, offsets, k) == length
-            assert triangle_edge_lattice_length(normals, offsets, k) == length
 
 
 def test_lattice_length_examples():
@@ -313,7 +311,7 @@ def test_lattice_length_examples():
     edges = T111.edges()
     normals = [e.normal for e in edges]
     for k in range(3):
-        assert triangle_edge_lattice_length(normals, [1, 1, 1], k) == 3
+        assert edge_lattice_length_from_normals(normals, [1, 1, 1], k) == 3
 
 
 def test_triangle_invariant_examples():

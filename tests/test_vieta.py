@@ -15,7 +15,6 @@ from pipgeom.vieta import (
     jump_forest,
     reduce_tuple,
     solution_b_sweep,
-    tuple_b_value,
     verify_general_bound,
     vieta_jump,
     vieta_reduce,
@@ -254,10 +253,15 @@ def test_verify_general_bound_matches_pruned(n, bound):
     assert verify_general_bound(n, bound).solutions == expected
 
 
-def test_tuple_b_value_and_ntuple():
-    assert tuple_b_value((1, 1, 1, 1)) == 16
-    assert tuple_b_value((1, 1, 1, 3)) == 12
-    assert tuple_b_value((1, 2, 5)) is None
+def test_is_solution_any_length_and_ntuple():
+    assert is_solution(2, 2) == 4
+    assert is_solution(1, 2) is None
+    assert is_solution(1, 1, 1, 1) == 16
+    assert is_solution(1, 1, 1, 3) == 12
+    assert is_solution(1, 2, 5) is None
+    assert is_solution(1, 1, 1, 1, 1) == 25
+    assert is_solution(1, 1, 1, 2, 5) == 10
+    assert is_solution(1, 1, 1, 1, 3) is None
     with pytest.raises(ValueError):
         NTuple((2, 1), 4)
 
@@ -266,6 +270,12 @@ def test_reduce_tuple():
     r = reduce_tuple(NTuple((1, 4, 25), 9))
     assert r.values == (1, 1, 1)
     assert r.values[-1] <= sum(r.values[:-1])
+
+
+def test_vieta_reduce_agrees_with_reduce_tuple():
+    for b in range(1, 10):
+        for s in jump_forest(b, 2000):
+            assert vieta_reduce(s).triple() == reduce_tuple(NTuple(s.triple(), s.b)).values
 
 
 def test_verify_general_bound_n2():
