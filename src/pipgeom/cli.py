@@ -15,23 +15,19 @@ import sys
 import time
 
 from . import __version__
-from .constructions import ConstructionSpec, build
+from .constructions import build
 from .ehrhart import CERTIFY_WORK_LIMIT, certify_work, is_pseudointegral
 from .exact import parse_integer
 from .polygon import RationalPolygon
 from .suites import SUITES
 from .svg import render_svg
-from .vieta import VietaSolution, enumerate_reduced, family, is_vieta_reduced, jump_forest
+from .vieta import VietaSolution, enumerate_reduced, family, is_vieta_reduced, jump_forest, search_cost
 
 USAGE_ERROR = 2
 
-# Largest search `verify` starts, counted in prefix entries: an n-variable
-# search with entries <= bound sums (n - 1) * C(bound + n - 2, n - 1) prefix
-# entries and sieves a divisor table of (n - 1) * bound + 1 lists.  For
-# n >= 3 the search groups the tuples by sum instead of walking the prefixes,
-# so the count bounds its size, not its time: b-sweep at bound 315 searches in
-# about 10 ms.  The heaviest search at the limit, n = 2 with bound 10^5, takes
-# about a second and 75 MB, most of both in the divisor table.
+# Largest search `verify` starts, in the work units of `vieta.search_cost`.
+# At the limit each n = 2..6 searches in at most about 40 ms and 2 MB (n = 2,
+# bound 4,209; b-sweep admits bounds up to 400).
 VERIFY_SEARCH_LIMIT = 10**5
 
 # Most digits `certify` accepts in the integers that write the polygon over
@@ -218,7 +214,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             )
         if args.family == "fibonacci" and max(params, default=0) > FIBONACCI_INDEX_LIMIT:
             raise ValueError(f"index must be at most FIBONACCI_INDEX_LIMIT = {FIBONACCI_INDEX_LIMIT}")
-        P = build(ConstructionSpec(args.family, params))
+        P = build(args.family, params)
         if args.svg:
             # rendered in full before the file is opened, so a refusal writes nothing
             svg = render_svg(P)
@@ -230,21 +226,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     # bare polygon JSON so the output pipes straight into `certify`
     _emit(P.to_json_dict(), started)
     return 0
-
-
-def _search_exceeds_limit(n: int, bound: int) -> bool:
-    """Whether (n - 1) * C(bound + n - 2, n - 1) exceeds VERIFY_SEARCH_LIMIT.
-
-    C(m, i) grows with i up to m / 2, so the binomial is built up one
-    factor at a time and abandoned once it passes the limit; huge n or
-    bound are refused after a few multiplications.
-    """
-    m, count = bound + n - 2, 1
-    for i in range(min(n - 1, bound - 1)):
-        if (n - 1) * count > VERIFY_SEARCH_LIMIT:
-            return True
-        count = count * (m - i) // (i + 1)
-    return (n - 1) * count > VERIFY_SEARCH_LIMIT
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -272,11 +253,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         bound = 40 if args.bound is None else args.bound
         kwargs["cases"] = ((args.n, bound, args.n * args.n),)
         search = (args.n, bound)
-    if search is not None and _search_exceeds_limit(*search):
+    if search is not None and search_cost(*search) > VERIFY_SEARCH_LIMIT:
         n, bound = search
         print(
             f"error: a search over {n}-tuples with entries <= {bound} exceeds "
-            f"VERIFY_SEARCH_LIMIT = {VERIFY_SEARCH_LIMIT} prefix entries",
+            f"VERIFY_SEARCH_LIMIT = {VERIFY_SEARCH_LIMIT} units of work",
             file=sys.stderr,
         )
         return USAGE_ERROR
@@ -302,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("vieta", help="solution sets of b = (x+y+z)^2/(xyz)")
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=parse_integer, required=True)
     p.add_argument("--reduced", action="store_true", help="list the reduced solutions")
     p.add_argument("--forest", action="store_true", help="jump graph up to --max-z")
-    p.add_argument("--max-z", type=int, default=None)
+    p.add_argument("--max-z", type=parse_integer, default=None)
     p.add_argument("--family", metavar="X,Y,Z", help="grow the family from a reduced seed")
-    p.add_argument("--depth", type=int, default=None, help="family depth (default 4)")
+    p.add_argument("--depth", type=parse_integer, default=None, help="family depth (default 4)")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=_cmd_vieta)
 
@@ -319,10 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--bound", type=parse_integer, default=None)
+    p.add_argument("--n", type=parse_integer, default=None)
+    p.add_argument("--depth", type=parse_integer, default=None)
+    p.add_argument("--count", type=parse_integer, default=None)
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -26,7 +26,7 @@ p3 / p4 / p10       denominator-3/4/10 polygons realizing (i, b) up to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from fractions import Fraction
 
 from .exact import Vec2
@@ -267,50 +267,30 @@ def octagon_empty_boundary() -> RationalPolygon:
 # --- CLI dispatch -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Family tag plus integer parameters, as accepted by the CLI."""
+def _reflexive_entry(index: int) -> RationalPolygon:
+    catalog = reflexive_catalog()
+    if not 0 <= index < len(catalog):
+        raise ValueError(f"catalog index must be in 0..{len(catalog) - 1}")
+    return catalog[index]
 
-    family: str
-    params: tuple[int, ...]
 
-
-_PARAM_COUNTS = {
-    "reflexive": 1,
-    "example-b1": 1,
-    "example-b2": 1,
-    "t-xyz": 3,
-    "fibonacci": 1,
-    "scott-grid": 2,
-    "p3": 2,
-    "p4": 2,
-    "p10": 2,
+# family tag -> (number of integer parameters, builder taking them in order)
+FAMILIES = {
+    "reflexive": (1, _reflexive_entry),
+    "example-b1": (1, example_pip_b1),
+    "example-b2": (1, example_pip_b2),
+    "t-xyz": (3, lambda x, y, z: t_xyz(VietaSolution.from_triple(x, y, z))),
+    "fibonacci": (1, fibonacci_triangle),
+    "scott-grid": (2, scott_grid_polygon),
+    **{f"p{d}": (2, functools.partial(construct_pip, d)) for d in _PIP_RANGES},
 }
 
 
-def build(spec: ConstructionSpec) -> RationalPolygon:
-    """Construct the polygon a :class:`ConstructionSpec` names."""
-    family, params = spec.family, spec.params
-    if family not in _PARAM_COUNTS:
-        raise ValueError(f"unknown family {family!r}; known: {sorted(_PARAM_COUNTS)}")
-    if len(params) != _PARAM_COUNTS[family]:
-        raise ValueError(
-            f"family {family!r} takes {_PARAM_COUNTS[family]} parameter(s), got {len(params)}"
-        )
-    if family == "reflexive":
-        idx = params[0]
-        catalog = reflexive_catalog()
-        if not 0 <= idx < len(catalog):
-            raise ValueError(f"catalog index must be in 0..{len(catalog) - 1}")
-        return catalog[idx]
-    if family == "example-b1":
-        return example_pip_b1(params[0])
-    if family == "example-b2":
-        return example_pip_b2(params[0])
-    if family == "t-xyz":
-        return t_xyz(VietaSolution.from_triple(*params))
-    if family == "fibonacci":
-        return fibonacci_triangle(params[0])
-    if family == "scott-grid":
-        return scott_grid_polygon(*params)
-    return construct_pip(int(family[1:]), *params)
+def build(family: str, params: tuple[int, ...]) -> RationalPolygon:
+    """Construct the polygon of a family tag and its integer parameters."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+    count, builder = FAMILIES[family]
+    if len(params) != count:
+        raise ValueError(f"family {family!r} takes {count} parameter(s), got {len(params)}")
+    return builder(*params)

@@ -43,14 +43,6 @@ class CountReport:
         if min(self.t, self.total, self.boundary, self.interior) < 0 or self.t < 1:
             raise ValueError("counts must be nonnegative and t >= 1")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "total": self.total,
-            "boundary": self.boundary,
-            "interior": self.interior,
-        }
-
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     """Sum of floor((a*i + b) / m) over 0 <= i < n, for m > 0.

@@ -42,16 +42,6 @@ class SuiteResult:
             out.append(f"{status:4s} {label}" + (f"  [{detail}]" if detail else ""))
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.name,
-            "passed": self.passed,
-            "checks": [
-                {"label": label, "ok": ok, **({"detail": detail} if detail else {})}
-                for label, ok, detail in self.checks
-            ],
-        }
-
 
 REDUCED_TABLE = frozenset(
     {
@@ -61,6 +51,9 @@ REDUCED_TABLE = frozenset(
         (4, 2, 2, 4), (5, 1, 4, 5), (6, 1, 2, 3), (8, 1, 1, 2), (9, 1, 1, 1),
     }
 )
+
+# every integer b = (x+y+z)^2/(xyz) over positive triples; 7 never occurs
+ALLOWED_B = frozenset({1, 2, 3, 4, 5, 6, 8, 9})
 
 
 def _brute_reduced() -> set[tuple[int, int, int, int]]:
@@ -93,13 +86,12 @@ def suite_reduced_table() -> SuiteResult:
 def suite_b_sweep(bound: int = 300) -> SuiteResult:
     res = SuiteResult("b-sweep")
     witnesses = vieta.solution_b_sweep(bound)
-    allowed = {1, 2, 3, 4, 5, 6, 8, 9}
     res.add(
         f"all b-values over entries <= {bound} lie in {{1..6, 8, 9}}",
-        set(witnesses) <= allowed,
+        set(witnesses) <= ALLOWED_B,
         f"values: {sorted(witnesses)}",
     )
-    missing = allowed - set(witnesses)
+    missing = ALLOWED_B - set(witnesses)
     res.add("every allowed b-value is witnessed", not missing, f"missing: {sorted(missing)}")
     return res
 
@@ -120,7 +112,7 @@ def suite_nvar(cases: tuple[tuple[int, int, int], ...] = ((2, 50, 4), (3, 200, 9
         if n == 3:
             res.add(
                 "n=3: b-values within {1..6, 8, 9}",
-                report.b_values <= {1, 2, 3, 4, 5, 6, 8, 9},
+                report.b_values <= ALLOWED_B,
             )
     return res
 
@@ -188,7 +180,7 @@ def suite_fibonacci(depth: int = 5) -> SuiteResult:
 
 def suite_denominator_grid(i_max: int = 6) -> SuiteResult:
     res = SuiteResult("denominator-grid")
-    for d, (slope, intercept) in ((3, (3, 5)), (4, (4, 4)), (10, (5, 4))):
+    for d, (slope, intercept) in constructions._PIP_RANGES.items():
         all_ok, count, first_bad = True, 0, ""
         for i in range(1, i_max + 1):
             for b in range(2, slope * i + intercept + 1):

@@ -11,6 +11,7 @@ generalization of the bound b <= n^2.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -258,6 +259,28 @@ def _sorted_solutions(n: int, bound: int) -> list[tuple[tuple[int, ...], int]]:
                         hits.append((head + (x, r - x, v), M // xy))
     hits.sort()
     return hits
+
+
+def search_cost(n: int, bound: int) -> int | float:
+    """About how much work `_sorted_solutions(n, bound)` does.
+
+    With k = bound.bit_length(), the divisor table holds (n - 1) * bound + 1
+    lists of about k^2 / 8 entries; each of the C(bound + n - 4, n - 3) heads
+    (n >= 3) sums and multiplies n - 3 entries and steps through 2 * bound
+    sums r; and each of the C(bound + n - 2, n - 1) sorted tuples of the first
+    n - 1 entries meets about k / 8 candidates v | R^2.  Against counts taken
+    in the search this is within 30% for n = 2, 3 from bound 100 up, and up to
+    2.5 times over for n >= 4, where most groups are skipped.  As C(m, i) >= 2^i
+    for i <= m / 2, huge n or bound pass sys.maxsize within 63 factors: math.inf.
+    """
+    tuples, m = 1, bound + n - 2
+    for i in range(min(n - 1, bound - 1)):
+        tuples = tuples * (m - i) // (i + 1)
+        if tuples > sys.maxsize:
+            return math.inf
+    heads = tuples * (n - 1) * (n - 2) // (m * (m - 1)) if n > 2 else 0
+    lists, k = (n - 1) * bound + 1, bound.bit_length()
+    return lists + (lists * k * k + tuples * k) // 8 + heads * (n - 3 + 2 * bound)
 
 
 def solution_b_sweep(bound: int) -> dict[int, tuple[int, int, int]]:

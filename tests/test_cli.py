@@ -21,7 +21,7 @@ from pipgeom.cli import (
     VIETA_MAX_Z_LIMIT,
     main,
 )
-from pipgeom.constructions import _PARAM_COUNTS, _PIP_RANGES, fibonacci_triangle, octagon_empty_boundary
+from pipgeom.constructions import _PIP_RANGES, FAMILIES, fibonacci_triangle, octagon_empty_boundary
 from pipgeom.exact import Vec2
 from pipgeom.polygon import RationalPolygon, hull
 from pipgeom.suites import SUITES
@@ -170,6 +170,21 @@ def test_vieta_family_seed_takes_certify_integers(seed, capsys):
     assert main(["vieta", "--b", "9", "--family", " 1,+1,1"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vieta", "--b", "\u0669", "--reduced"],
+        ["vieta", "--b", "0_9", "--reduced"],
+        ["verify", "--suite", "b-sweep", "--bound", "3_0"],
+        ["vieta", "--b", "9", "--family", "1,1,1", "--depth", "\u0662"],
+    ],
+)
+def test_integer_flags_take_certify_integers(argv):
+    code, out, _ = _run_main(argv)
+    assert code == 2
+    assert out == ""
+
+
 @pytest.mark.parametrize("depth", [-1, VIETA_DEPTH_LIMIT + 1])
 def test_vieta_depth_out_of_range_exit_two(depth, capsys, monkeypatch):
     def family_started(*args):
@@ -277,11 +292,12 @@ def test_verify_malformed_parameters_exit_two(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--suite", "b-sweep", "--bound", "316"],
+        ["--suite", "b-sweep", "--bound", "401"],
         ["--suite", "nvar-bound", "--n", "2", "--bound", "100001"],
         ["--suite", "nvar-bound", "--n", "100002", "--bound", "1"],
         ["--suite", "nvar-bound", "--n", str(10**18), "--bound", str(10**18)],
         ["--suite", "nvar-bound", "--n", "3", "--bound", str(10**100)],
+        ["--suite", "nvar-bound", "--n", "2", "--bound", "100000"],
     ],
 )
 def test_verify_refuses_oversized_search_up_front(argv, capsys, monkeypatch):
@@ -297,7 +313,7 @@ def test_verify_refuses_oversized_search_up_front(argv, capsys, monkeypatch):
 
 
 def test_verify_search_at_the_limit_runs(capsys):
-    # 2 * C(316, 2) = 99,540 prefix entries; bound 316 gives 100,172
+    # vieta.search_cost(3, 315) = 63,641; bound 401 is the first one refused
     assert main(["verify", "--suite", "b-sweep", "--bound", "315"]) == 0
     assert "suite b-sweep: pass" in capsys.readouterr().out
     assert main(["verify", "--suite", "nvar-bound", "--n", "3", "--bound", "1"]) == 0
@@ -622,17 +638,19 @@ def _run_main(argv):
 
 
 def _as_int(text):
-    """The integer argparse's int() reads from text, or None where it refuses."""
-    return int(text) if re.fullmatch(r"-?[0-9]{1,4300}", text) else None
+    """The integer parse_integer reads from text, or None where it refuses."""
+    m = re.fullmatch(r"\s*([+-]?[0-9]{1,4300})\s*", text)
+    return int(m.group(1)) if m else None
 
 
 # integer flags: small values, values past each limit, digit runs longer than
-# int() accepts, and text with no digits at all
+# int() accepts, text only int() would read, and text with no digits at all
 INT_TEXT = (
     st.integers(-3, 12).map(str)
     | st.integers(-(10**15), 10**15).map(str)
     | st.sampled_from([VIETA_DEPTH_LIMIT, VIETA_DEPTH_LIMIT + 1, VIETA_MAX_Z_LIMIT + 1]).map(str)
     | (st.integers(101, 5000) | st.sampled_from([CONSTRUCT_PARAMETER_DIGITS + 1, 4300, 4301])).map(lambda k: "9" * k)
+    | st.sampled_from(["1_0", "\u0661", " 7 ", "+4"])
     | st.text(alphabet=",-x ./", max_size=4)
 )
 REDUCED_TEXT = st.sampled_from(all_reduced_solutions()).flatmap(
@@ -709,7 +727,7 @@ def construct_argv(draw):
     """An argv for `construct`, and whether it must build (True), must be refused (False) or may do either (None)."""
     if draw(st.booleans()):
         # well formed by construction, with parameters small enough to draw
-        name = draw(st.sampled_from(sorted(_PARAM_COUNTS)))
+        name = draw(st.sampled_from(sorted(FAMILIES)))
         i = draw(st.integers(1, 40))
         if name == "reflexive":
             params = [draw(st.integers(0, 15))]
@@ -727,14 +745,14 @@ def construct_argv(draw):
             params = [i]
         expect, text = True, ",".join(map(str, params))
     else:
-        name = draw(st.sampled_from(sorted(_PARAM_COUNTS)) | st.text(alphabet="abp3-", max_size=5))
-        pieces = draw(st.lists(INT_TEXT | st.sampled_from(["+4", " 7 ", "1_0", "\u0661", "4/1"]), max_size=4))
+        name = draw(st.sampled_from(sorted(FAMILIES)) | st.text(alphabet="abp3-", max_size=5))
+        pieces = draw(st.lists(INT_TEXT | st.just("4/1"), max_size=4))
         text = ",".join(pieces)
-        values = [_as_int(p.strip().removeprefix("+")) for p in text.split(",")] if text else []
+        values = [_as_int(p) for p in text.split(",")] if text else []
         malformed = (
-            name not in _PARAM_COUNTS
+            name not in FAMILIES
             or None in values
-            or len(values) != _PARAM_COUNTS[name]
+            or len(values) != FAMILIES[name][0]
             or any(abs(v) >= 10**CONSTRUCT_PARAMETER_DIGITS for v in values)
             or (name == "fibonacci" and values[0] > FIBONACCI_INDEX_LIMIT)
             or (name == "reflexive" and not 0 <= values[0] <= 15)

@@ -3,7 +3,6 @@ from fractions import Fraction as F
 import pytest
 
 from pipgeom.constructions import (
-    ConstructionSpec,
     NotConstructibleError,
     build,
     construct_pip,
@@ -230,13 +229,18 @@ def test_counterexample_fixtures():
 
 
 def test_build_dispatch():
-    assert build(ConstructionSpec("fibonacci", (1,))) == fibonacci_triangle(1)
-    assert build(ConstructionSpec("t-xyz", (1, 1, 1))) == t_xyz(VietaSolution(1, 1, 1, 9))
-    assert build(ConstructionSpec("p10", (2, 14))) == construct_pip(10, 2, 14)
-    assert build(ConstructionSpec("reflexive", (0,))) in reflexive_catalog()
-    with pytest.raises(ValueError):
-        build(ConstructionSpec("unknown", ()))
-    with pytest.raises(ValueError):
-        build(ConstructionSpec("fibonacci", (1, 2)))
-    with pytest.raises(ValueError):
-        build(ConstructionSpec("reflexive", (16,)))
+    assert build("reflexive", (3,)) == reflexive_catalog()[3]
+    assert build("example-b1", (2,)) == example_pip_b1(2)
+    assert build("example-b2", (3,)) == example_pip_b2(3)
+    assert build("t-xyz", (2, 4, 6)) == t_xyz(VietaSolution(2, 4, 6, 3))
+    assert build("fibonacci", (2,)) == fibonacci_triangle(2)
+    assert build("scott-grid", (3, 7)) == scott_grid_polygon(3, 7)
+    assert build("p3", (2, 9)) == construct_pip(3, 2, 9)
+    assert build("p4", (1, 5)) == construct_pip(4, 1, 5)
+    assert build("p10", (2, 14)) == construct_pip(10, 2, 14)
+    with pytest.raises(ValueError, match="unknown family 'unknown'"):
+        build("unknown", ())
+    with pytest.raises(ValueError, match=r"takes 1 parameter\(s\), got 2"):
+        build("fibonacci", (1, 2))
+    with pytest.raises(ValueError, match=r"catalog index must be in 0\.\.15"):
+        build("reflexive", (16,))

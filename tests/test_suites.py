@@ -7,20 +7,12 @@ from pipgeom.suites import (
 )
 
 
-def test_suite_result_lines_and_json():
+def test_suite_result_lines():
     r = SuiteResult("demo")
     r.add("first", True)
     r.add("second", False, "why")
     assert not r.passed
     assert r.lines() == ["ok   first", "FAIL second  [why]"]
-    assert r.to_json_dict() == {
-        "suite": "demo",
-        "passed": False,
-        "checks": [
-            {"label": "first", "ok": True},
-            {"label": "second", "ok": False, "detail": "why"},
-        ],
-    }
 
 
 def test_work_limit_skips_and_logs(monkeypatch):
