@@ -25,6 +25,14 @@ from .vieta import VietaSolution, enumerate_reduced, family, is_vieta_reduced, j
 
 USAGE_ERROR = 2
 
+
+class UsageError(Exception):
+    """Unusable input: `main` prints "error: <message>" on stderr and exits 2.
+
+    Not a ValueError, so a ValueError from library code still propagates
+    as the internal fault it is.
+    """
+
 # Largest search `verify` starts, in the work units of `vieta.search_cost`.
 # At the limit each n = 2..6 searches in at most about 40 ms and 2 MB (n = 2,
 # bound 4,209; b-sweep admits bounds up to 400).
@@ -74,52 +82,37 @@ _SUITE_FLAGS = {
 }
 
 
-def _emit(payload: dict, started: float) -> None:
+def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr)
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     try:
         with open(args.polygon_file) as fh:
             data = json.load(fh)
         P = RationalPolygon.from_json_dict(data)
     except RecursionError:
         # json.load recurses once per level of nesting
-        print("error: cannot read polygon: JSON nested too deeply", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("cannot read polygon: JSON nested too deeply") from None
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot read polygon: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"cannot read polygon: {exc}") from exc
     # a D too long to print is refused under the digit limit, and D * P is
     # built only once D is within the work limit
     work = certify_work(P)
     if work > CERTIFY_WORK_LIMIT and P.denominator < _COORDINATE_BOUND:
-        print(
-            f"error: denominator {P.denominator} times {len(P.vertices)} edges is {work}, "
-            f"over CERTIFY_WORK_LIMIT = {CERTIFY_WORK_LIMIT}",
-            file=sys.stderr,
+        raise UsageError(
+            f"denominator {P.denominator} times {len(P.vertices)} edges is {work}, "
+            f"over CERTIFY_WORK_LIMIT = {CERTIFY_WORK_LIMIT}"
         )
-        return USAGE_ERROR
     if P.denominator >= _COORDINATE_BOUND or any(
         abs(c) >= _COORDINATE_BOUND for xy in P.scaled_vertices for c in xy
     ):
-        print(
-            "error: the denominator D or a vertex coordinate of D * P has more than "
-            f"CERTIFY_COORDINATE_DIGITS = {CERTIFY_COORDINATE_DIGITS} digits",
-            file=sys.stderr,
+        raise UsageError(
+            "the denominator D or a vertex coordinate of D * P has more than "
+            f"CERTIFY_COORDINATE_DIGITS = {CERTIFY_COORDINATE_DIGITS} digits"
         )
-        return USAGE_ERROR
     cert = is_pseudointegral(P)
-    _emit(
-        {
-            "command": "certify",
-            "inputs": {"polygon": P.to_json_dict()},
-            "results": cert.to_json_dict(),
-        },
-        started,
-    )
+    _emit({"command": "certify", "inputs": {"polygon": P.to_json_dict()}, "results": cert.to_json_dict()})
     return 0 if cert.is_pip else 1
 
 
@@ -137,14 +130,11 @@ def _solutions_table(solutions) -> str:
 
 
 def _cmd_vieta(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     if not 1 <= args.b <= 9:
-        print("error: --b must be in 1..9", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--b must be in 1..9")
     modes = [mode for mode in ("reduced", "forest", "family") if getattr(args, mode)]
     if len(modes) != 1:
-        print("error: choose exactly one of --reduced, --forest, --family", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("choose exactly one of --reduced, --forest, --family")
     # each mode reads only its own flags, as each `verify` suite does
     unread = (
         "--max-z" if args.max_z is not None and not args.forest
@@ -153,15 +143,10 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
         else None
     )
     if unread:
-        print(f"error: vieta --{modes[0]} does not read {unread}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"vieta --{modes[0]} does not read {unread}")
     depth = 4 if args.depth is None else args.depth
     if not 0 <= depth <= VIETA_DEPTH_LIMIT:
-        print(
-            f"error: --depth must be in 0..VIETA_DEPTH_LIMIT = {VIETA_DEPTH_LIMIT}, got {depth}",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+        raise UsageError(f"--depth must be in 0..VIETA_DEPTH_LIMIT = {VIETA_DEPTH_LIMIT}, got {depth}")
     inputs: dict = {"b": args.b}
     if args.reduced:
         sols = enumerate_reduced(args.b)
@@ -171,11 +156,9 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
         results = {"reduced": _solutions_json(sols)}
     elif args.forest:
         if args.max_z is None:
-            print("error: --forest requires --max-z", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError("--forest requires --max-z")
         if not 1 <= args.max_z <= VIETA_MAX_Z_LIMIT:
-            print("error: --max-z must be in 1..VIETA_MAX_Z_LIMIT = 10**100", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError("--max-z must be in 1..VIETA_MAX_Z_LIMIT = 10**100")
         inputs["max_z"] = args.max_z
         forest = jump_forest(args.b, args.max_z)
         results = {
@@ -189,31 +172,28 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
             x, y, z = (parse_integer(v) for v in args.family.split(","))
             seed = VietaSolution.from_triple(x, y, z)
         except ValueError as exc:
-            print(f"error: bad --family seed: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError(f"bad --family seed: {exc}") from exc
         if seed.b != args.b or not is_vieta_reduced(seed):
-            print("error: --family seed must be a reduced solution for --b", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError("--family seed must be a reduced solution for --b")
         inputs |= {"seed": seed.triple(), "depth": depth}
         states = family(seed, depth)
         if args.format == "table":
             print("\n".join(f"{st.j:3d}  x={st.x}  y={st.y}  z={st.z}" for st in states))
             return 0
         results = {"family": [{"j": st.j, "x": st.x, "y": st.y, "z": st.z} for st in states]}
-    _emit({"command": "vieta", "inputs": inputs, "results": results}, started)
+    _emit({"command": "vieta", "inputs": inputs, "results": results})
     return 0
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     try:
         params = tuple(parse_integer(v) for v in args.params.split(",")) if args.params else ()
         if any(abs(p) >= _PARAMETER_BOUND for p in params):
-            raise ValueError(
+            raise UsageError(
                 f"parameters must have at most CONSTRUCT_PARAMETER_DIGITS = {CONSTRUCT_PARAMETER_DIGITS} digits"
             )
         if args.family == "fibonacci" and max(params, default=0) > FIBONACCI_INDEX_LIMIT:
-            raise ValueError(f"index must be at most FIBONACCI_INDEX_LIMIT = {FIBONACCI_INDEX_LIMIT}")
+            raise UsageError(f"index must be at most FIBONACCI_INDEX_LIMIT = {FIBONACCI_INDEX_LIMIT}")
         P = build(args.family, params)
         if args.svg:
             # rendered in full before the file is opened, so a refusal writes nothing
@@ -221,51 +201,42 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             with open(args.svg, "w") as fh:
                 fh.write(svg)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(str(exc)) from exc
     # bare polygon JSON so the output pipes straight into `certify`
-    _emit(P.to_json_dict(), started)
+    _emit(P.to_json_dict())
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     if args.suite not in SUITES:
-        print(f"error: unknown suite {args.suite!r}; known: {sorted(SUITES)}", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError(f"unknown suite {args.suite!r}; known: {sorted(SUITES)}")
     read = _SUITE_FLAGS.get(args.suite, {})
     given = {name: value for name in ("bound", "n", "depth", "count") if (value := getattr(args, name)) is not None}
     for name, value in given.items():
         if name not in read:
-            print(f"error: suite {args.suite} does not read --{name}", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError(f"suite {args.suite} does not read --{name}")
         if value < read[name]:
-            print(f"error: --{name} must be at least {read[name]}, got {value}", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError(f"--{name} must be at least {read[name]}, got {value}")
     if args.suite == "nvar-bound" and args.bound is not None and args.n is None:
-        print("error: suite nvar-bound reads --bound only together with --n", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("suite nvar-bound reads --bound only together with --n")
     kwargs = {} if args.suite == "nvar-bound" else given
     search = None
     if args.suite == "b-sweep" and args.bound is not None:
         search = (3, args.bound)
     if args.suite == "nvar-bound" and args.n is not None:
         bound = 40 if args.bound is None else args.bound
-        kwargs["cases"] = ((args.n, bound, args.n * args.n),)
+        kwargs["cases"] = ((args.n, bound),)
         search = (args.n, bound)
     if search is not None and search_cost(*search) > VERIFY_SEARCH_LIMIT:
         n, bound = search
-        print(
-            f"error: a search over {n}-tuples with entries <= {bound} exceeds "
-            f"VERIFY_SEARCH_LIMIT = {VERIFY_SEARCH_LIMIT} units of work",
-            file=sys.stderr,
+        raise UsageError(
+            f"a search over {n}-tuples with entries <= {bound} exceeds "
+            f"VERIFY_SEARCH_LIMIT = {VERIFY_SEARCH_LIMIT} units of work"
         )
-        return USAGE_ERROR
     result = SUITES[args.suite](**kwargs)
     for line in result.lines():
         print(line)
     print(f"suite {result.name}: {'pass' if result.passed else 'FAIL'}")
-    print(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr)
     return 0 if result.passed else 1
 
 
@@ -309,8 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: its exit code and one elapsed_ms line, or exit 2 on a UsageError."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    started = time.perf_counter()
+    try:
+        code = args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    print(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

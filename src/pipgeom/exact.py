@@ -21,7 +21,6 @@ _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 def format_rational(q: Scalar) -> str:
     """Render q as "p/q" in lowest terms, or bare "p" when q is integral."""
-    q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

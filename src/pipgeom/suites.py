@@ -96,13 +96,13 @@ def suite_b_sweep(bound: int = 300) -> SuiteResult:
     return res
 
 
-def suite_nvar(cases: tuple[tuple[int, int, int], ...] = ((2, 50, 4), (3, 200, 9), (4, 40, 16))) -> SuiteResult:
+def suite_nvar(cases: tuple[tuple[int, int], ...] = ((2, 50), (3, 200), (4, 40))) -> SuiteResult:
     res = SuiteResult("nvar-bound")
-    for n, bound, expected_max in cases:
+    for n, bound in cases:
         report = vieta.verify_general_bound(n, bound)
         res.add(
-            f"n={n}, entries <= {bound}: max b = {expected_max} <= n^2",
-            report.max_b == expected_max and report.max_b <= n * n,
+            f"n={n}, entries <= {bound}: max b = {n * n} <= n^2",
+            report.max_b == n * n,
             f"max_b={report.max_b}, {len(report.solutions)} solutions",
         )
         res.add(f"n={n}: every solution reduces", report.all_reduce)
@@ -309,14 +309,8 @@ def _random_polygon(rng: random.Random, span: int = 6, max_den: int = 3) -> Rati
 
 
 def _random_triangle(rng: random.Random, span: int = 6, max_den: int = 3) -> RationalPolygon:
-    while True:
-        P = _random_polygon(rng, span, max_den)
-        if len(P.vertices) >= 3:
-            tri = P.vertices[:3]
-            try:
-                return hull(tri)
-            except polygon.DegenerateHullError:
-                continue
+    # a polygon's vertices are strictly convex, so its first three are never collinear
+    return hull(_random_polygon(rng, span, max_den).vertices[:3])
 
 
 def suite_properties(count: int = 100, seed: int = 20250810) -> SuiteResult:

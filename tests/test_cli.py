@@ -784,3 +784,61 @@ def test_construct_fuzz_argv_exit_codes(tmp_path, case):
         assert code == 2
         assert out == ""
         assert not svg_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "{tmp}/missing.json"],
+        ["certify", "{tmp}/nested.json"],
+        ["certify", "{tmp}/wide.json"],
+        ["vieta", "--b", "0", "--reduced"],
+        ["vieta", "--b", "9", "--family", "1,1,x"],
+        ["vieta", "--b", "9", "--family", "1,1,4"],
+        ["construct", "--family", "p4", "--params", "1_0,4"],
+        ["construct", "--family", "p4", "--params", "1,99"],
+        ["construct", "--family", "p4", "--params", "1,4", "--svg", "{tmp}"],
+        ["verify", "--suite", "no-such-suite"],
+        ["verify", "--suite", "reflexive", "--bound", "3"],
+    ],
+)
+def test_refusal_writes_one_error_line_and_no_timing(argv, tmp_path):
+    (tmp_path / "nested.json").write_text("[" * 100_000)
+    (tmp_path / "wide.json").write_text(json.dumps({"vertices": [["0", "0"], ["1", "0"], ["0", "1/1000000"]]}))
+    code, out, err = _run_main([arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith("error: ") and not err.startswith("error: error:")
+    assert "elapsed_ms" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["certify", "{tmp}/pip.json"], 0),
+        (["certify", "{tmp}/octagon.json"], 1),
+        (["vieta", "--b", "1", "--reduced"], 0),
+        (["vieta", "--b", "1", "--reduced", "--format", "table"], 0),
+        (["vieta", "--b", "9", "--family", "1,1,1", "--format", "table"], 0),
+        (["vieta", "--b", "1", "--forest", "--max-z", "50"], 0),
+        (["construct", "--family", "p4", "--params", "1,4"], 0),
+        (["verify", "--suite", "reduced-table"], 0),
+    ],
+)
+def test_every_completed_run_writes_one_timing_line(argv, expected, tmp_path):
+    write_polygon(tmp_path, fibonacci_triangle(1), "pip.json")
+    write_polygon(tmp_path, octagon_empty_boundary(), "octagon.json")
+    code, out, err = _run_main([arg.format(tmp=tmp_path) for arg in argv])
+    assert code == expected
+    assert out
+    assert re.fullmatch(r"elapsed_ms=[0-9]+\n", err)
+
+
+def test_library_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    def broken(P):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("pipgeom.cli.is_pseudointegral", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["certify", write_polygon(tmp_path, fibonacci_triangle(1))])

@@ -209,3 +209,40 @@ def test_poisoned_sample_names_its_residue(monkeypatch, sample):
     monkeypatch.setattr(ehrhart_mod, "count_total", corrupted)
     with pytest.raises(CountingConsistencyError, match=rf"^residue {r}: .* at t={r + 3 * D},"):
         ehrhart_mod.reconstruct_quasipolynomial(P)
+
+
+@pytest.mark.parametrize(
+    "P, message",
+    [
+        (UNIT_SQUARE, r"\(0, 4\) disagrees with direct counts \(-1, 5\)"),
+        (fibonacci_triangle(1), r"\(1, 9\) disagrees with direct counts \(0, 10\)"),
+        (fibonacci_triangle(2), r"\(1, 9\) disagrees with direct counts \(0, 10\)"),
+    ],
+    ids=["unit-square", "fibonacci-1", "fibonacci-2"],
+)
+def test_boundary_cross_check_catches_corrupted_boundary(monkeypatch, P, message):
+    import pipgeom.ehrhart as ehrhart_mod
+    from pipgeom.ehrhart import CountingConsistencyError
+
+    monkeypatch.setattr(ehrhart_mod, "count_boundary", lambda Q, t=1: count_boundary(Q, t) + 1)
+    with pytest.raises(CountingConsistencyError, match=message):
+        is_pseudointegral(P)
+
+
+@pytest.mark.parametrize(
+    "P", [UNIT_SQUARE, fibonacci_triangle(2), fourgon_distance_two()], ids=["unit-square", "fibonacci-2", "fourgon"]
+)
+def test_certificate_counts_four_totals_per_residue(monkeypatch, P):
+    import pipgeom.counting as counting_mod
+    import pipgeom.ehrhart as ehrhart_mod
+
+    calls = []
+
+    def counted(Q, t=1):
+        calls.append(t)
+        return count_total(Q, t)
+
+    monkeypatch.setattr(ehrhart_mod, "count_total", counted)
+    monkeypatch.setattr(counting_mod, "count_total", counted)
+    is_pseudointegral(P)
+    assert len(calls) == 4 * P.denominator
