@@ -61,8 +61,9 @@ _PARAMETER_BOUND = 10**CONSTRUCT_PARAMETER_DIGITS
 
 # Largest `vieta --forest --max-z`.  The forest grows with the square of the
 # number of digits of max-z; b = 1 grows fastest: at the limit it has 21,132
-# nodes and takes about 1 s, 9 MB of JSON and 60 MB peak RSS (2-vCPU Xeon,
-# Python 3.11).  Every other b takes at most half of that.
+# nodes and a whole run takes about 0.6 s (0.2-0.25 s of it the search, most of
+# the rest writing 9 MB of JSON) and 65 MB peak RSS (2-vCPU Xeon, Python 3.11).
+# Every other b takes at most about half of that.
 VIETA_MAX_Z_LIMIT = 10**100
 
 # Deepest family `vieta --family` grows.  The fastest-growing families

@@ -73,12 +73,20 @@ def vieta_jump(s: VietaSolution, position: int) -> VietaSolution:
     """
     entries = list(s.triple())
     e = entries.pop(position)
-    p, q = entries
-    e_new = s.b * p * q - 2 * (p + q) - e
-    if e_new <= 0:
+    x, y, z = _jump(s.b, *entries, e)
+    if x <= 0:
         raise ValueError("jump produced a nonpositive entry")  # impossible: e*e' = (p+q)^2
-    x, y, z = sorted((p, q, e_new))
     return VietaSolution(x, y, z, s.b)
+
+
+def _jump(b: int, p: int, q: int, e: int) -> tuple[int, int, int]:
+    """The sorted triple (p, q, e') with e' = b*p*q - 2(p+q) - e, for p <= q."""
+    e = b * p * q - 2 * (p + q) - e
+    if e <= p:
+        return (e, p, q)
+    if e <= q:
+        return (p, e, q)
+    return (p, q, e)
 
 
 def vieta_reduce(s: VietaSolution) -> VietaSolution:
@@ -136,26 +144,32 @@ def jump_forest(b: int, max_z: int) -> dict[VietaSolution, tuple[VietaSolution, 
     reduced solution (51 trees over all b); what is exposed here is its
     quotient modulo reordering, one component per reduced solution, so
     jumps that land on the same sorted triple are dropped.
+
+    The search walks plain sorted triples; each node's `VietaSolution`,
+    which checks the equation, is built once from the finished graph and
+    shared by its key and every neighbour tuple.  Nodes and neighbours
+    come sorted, which orders them as `VietaSolution`s of one b.
     """
     if not 1 <= b <= 9:
         raise ValueError("b must be in 1..9")
-    roots = [s for s in enumerate_reduced(b) if s.z <= max_z]
-    adjacency: dict[VietaSolution, set[VietaSolution]] = {}
-    frontier = list(roots)
-    for s in frontier:
-        adjacency[s] = set()
+    adjacency: dict[tuple[int, int, int], set[tuple[int, int, int]]] = {
+        s.triple(): set() for s in enumerate_reduced(b) if s.z <= max_z
+    }
+    frontier = list(adjacency)
     while frontier:
-        s = frontier.pop()
-        for pos in range(3):
-            nb = vieta_jump(s, pos)
-            if nb == s or nb.z > max_z:
+        t = frontier.pop()
+        x, y, z = t
+        for nb in (_jump(b, y, z, x), _jump(b, x, z, y), _jump(b, x, y, z)):
+            if nb == t or nb[2] > max_z:
                 continue
-            adjacency[s].add(nb)
+            adjacency[t].add(nb)
             if nb not in adjacency:
                 adjacency[nb] = set()
                 frontier.append(nb)
-            adjacency[nb].add(s)
-    return {s: tuple(sorted(adjacency[s])) for s in sorted(adjacency)}
+            adjacency[nb].add(t)
+    nodes = {t: VietaSolution(*t, b) for t in sorted(adjacency)}
+    # tuple() of a list sizes each neighbour tuple exactly; of a generator it over-allocates
+    return {s: tuple([nodes[u] for u in sorted(adjacency[t])]) for t, s in nodes.items()}
 
 
 @dataclass(frozen=True)

@@ -334,6 +334,26 @@ def test_verify_search_output_unchanged(argv, digest, capsys):
 
 
 @pytest.mark.parametrize(
+    "b, digest",
+    [
+        (1, "40bcb83a0d27cc535e622f1d015765e42a996d520443b62af09f0c84189a5e20"),
+        (2, "d8260e520976f65a912964b9c3271a32440399e2e928e0cce454f6263cf50c55"),
+        (3, "8b40cb5df8fe7d72eeb417c9f7de80f3325f83fafcae9c3c577abdd629e42e24"),
+        (4, "7c52070ae4c35e505580b59c9198efb92fe423172d8f82f47e4b5aa5f01d3149"),
+        (5, "c9e6277a0571579221c6598bb0a3ea61277e30f4c9ced51cdec7c2c321b9901d"),
+        (6, "9bb6ba6ed8ce0e85b6b3a09a2357c320aeaf3ad6091cadc846821e538ae7ab09"),
+        (7, "827b4b1db90c0b09f8d930023d37b5b72ea5fc0f14c24e3c7b74858cbbdbf263"),
+        (8, "8b116d5fe7e0ed79cd35f96ea06336e274218b74b20574b61567dc9b55125b0a"),
+        (9, "a4823732c37dc97c6e2a4843308bdde3051e1ed7f6ebeae54acc2683465df2e4"),
+    ],
+)
+def test_vieta_forest_output_unchanged(b, digest, capsys):
+    # SHA-256 of the stdout written by the forest search on solution objects
+    assert main(["vieta", "--b", str(b), "--forest", "--max-z", str(10**12)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["--suite", "b-sweep", "--n", "7", "--depth", "3"], "--n"),

@@ -168,6 +168,35 @@ def test_forest_component_structure():
     assert total_orderings == 51
 
 
+def reference_jump_forest(b, max_z):
+    # the forest search on solution objects: every jump through the public
+    # vieta_jump, with the graph keyed and sorted by VietaSolution
+    adjacency = {s: set() for s in enumerate_reduced(b) if s.z <= max_z}
+    frontier = list(adjacency)
+    while frontier:
+        s = frontier.pop()
+        for pos in range(3):
+            nb = vieta_jump(s, pos)
+            if nb == s or nb.z > max_z:
+                continue
+            adjacency[s].add(nb)
+            if nb not in adjacency:
+                adjacency[nb] = set()
+                frontier.append(nb)
+            adjacency[nb].add(s)
+    return {s: tuple(sorted(adjacency[s])) for s in sorted(adjacency)}
+
+
+@pytest.mark.parametrize("max_z", [1, 2, 3, 4, 25, 26, 10**6, 10**12, 10**40])
+@pytest.mark.parametrize("b", range(1, 10))
+def test_jump_forest_matches_the_reference_search(b, max_z):
+    forest, expected = jump_forest(b, max_z), reference_jump_forest(b, max_z)
+    assert forest == expected
+    assert list(forest) == list(expected)
+    for s, nbrs in forest.items():
+        assert all(type(t) is VietaSolution and t.b == b for t in (s, *nbrs))
+
+
 def test_family_fibonacci_z_values():
     fam = family(VietaSolution(1, 1, 1, 9), 4)
     assert [st.z for st in fam] == [1, 4, 25, 169, 1156]
