@@ -34,8 +34,9 @@ class UsageError(Exception):
     """
 
 # Largest search `verify` starts, in the work units of `vieta.search_cost`.
-# At the limit each n = 2..6 searches in at most about 40 ms and 2 MB (n = 2,
-# bound 4,209; b-sweep admits bounds up to 400).
+# At the limit each n = 2..6 searches in at most about 40 ms and 1.6 MB of
+# traced allocations (n = 2, bound 4,209); b-sweep admits bounds up to 400,
+# which search in about 7 ms (2-vCPU VM).
 VERIFY_SEARCH_LIMIT = 10**5
 
 # Most digits `certify` accepts in the integers that write the polygon over

@@ -189,10 +189,10 @@ class FamilyState:
 def family(seed: VietaSolution, j_max: int) -> list[FamilyState]:
     """States s_0..s_j_max grown from a reduced seed by jumping the middle entry.
 
-    The recursion y_{j+1} = z_j, z_{j+1} = b*x*y_{j+1} - 2(x + y_{j+1}) - y_j
-    keeps x fixed; every state is a solution, z grows strictly, and x
-    divides both y_j and z_j, which downstream triangle construction
-    relies on.
+    Each step is `_jump(b, x, z, y)`: y_{j+1} = z_j and z_{j+1} is the
+    conjugate b*x*z_j - 2(x + z_j) - y_j, with x fixed.  Every state is a
+    solution, z grows strictly, and x divides both y_j and z_j, which
+    downstream triangle construction relies on.
     """
     if not is_vieta_reduced(seed):
         raise ValueError("family seeds must be Vieta-reduced")
@@ -200,7 +200,7 @@ def family(seed: VietaSolution, j_max: int) -> list[FamilyState]:
     x, y, z = seed.triple()
     states = [FamilyState(seed, 0, x, y, z)]
     for j in range(1, j_max + 1):
-        y, z = z, b * x * z - 2 * (x + z) - y
+        _, y, z = _jump(b, x, z, y)
         st = FamilyState(seed, j, x, y, z)
         prev = states[-1]
         if st.z <= prev.z or y % x or z % x or is_solution(x, y, z) != b:
@@ -242,13 +242,16 @@ def _sorted_solutions(n: int, bound: int) -> list[tuple[tuple[int, ...], int]]:
     N / (P*x*y).  A group is dropped at once unless P | N; otherwise
     each x costs one test of M = N / P against x*y.
 
-    The x range is complete: x >= lo keeps the tuple sorted after the
-    head, x <= r // 2 is x <= y, and x >= r - v is y <= v (hence
-    y <= bound); a v below r / 2 admits no x.  n = 2 has no x, so its
-    tuples (y, v) are tried directly.  The result is sorted
+    The x range: x >= lo keeps the tuple sorted after the head, x <= r // 2
+    is x <= y, and x >= r - v is y <= v (hence y <= bound); a v below r / 2
+    admits no x.  Within it only the x in divs[R + v] are tried, found by
+    two bisections: x*y*v*P*b = (R + v)^2, so x divides the square of the
+    whole sum, and every other x fails.  The table therefore reaches sums
+    up to n * bound.  n = 2 has no x, so its tuples (y, v) are tried
+    directly from a table up to bound.  The result is sorted
     lexicographically.
     """
-    divs = _square_divisors((n - 1) * bound, bound)
+    divs = _square_divisors(n * bound if n > 2 else bound, bound)
     hits = []
     if n == 2:
         for y in range(1, bound + 1):
@@ -267,7 +270,8 @@ def _sorted_solutions(n: int, bound: int) -> list[tuple[tuple[int, ...], int]]:
                 M, rem = divmod((R + v) ** 2 // v, P)
                 if rem:
                     continue
-                for x in range(max(lo, r - v), r // 2 + 1):
+                xs = divs[R + v]
+                for x in xs[bisect_left(xs, max(lo, r - v)) : bisect_left(xs, r // 2 + 1)]:
                     xy = x * (r - x)
                     if M % xy == 0:
                         hits.append((head + (x, r - x, v), M // xy))
@@ -278,14 +282,20 @@ def _sorted_solutions(n: int, bound: int) -> list[tuple[tuple[int, ...], int]]:
 def search_cost(n: int, bound: int) -> int | float:
     """About how much work `_sorted_solutions(n, bound)` does.
 
-    With k = bound.bit_length(), the divisor table holds (n - 1) * bound + 1
+    With k = bound.bit_length(), it counts a divisor table of (n - 1) * bound + 1
     lists of about k^2 / 8 entries; each of the C(bound + n - 4, n - 3) heads
     (n >= 3) sums and multiplies n - 3 entries and steps through 2 * bound
     sums r; and each of the C(bound + n - 2, n - 1) sorted tuples of the first
     n - 1 entries meets about k / 8 candidates v | R^2.  Against counts taken
-    in the search this is within 30% for n = 2, 3 from bound 100 up, and up to
-    2.5 times over for n >= 4, where most groups are skipped.  As C(m, i) >= 2^i
-    for i <= m / 2, huge n or bound pass sys.maxsize within 63 factors: math.inf.
+    in the search (table lists and entries, head entries, sums r, groups and
+    x tests), this is 0.7 to 1.03 times the work for n = 2 from bound 100 up.
+    For n >= 3 it is an upper estimate: the search tries only the x dividing
+    the square of the whole sum, so at n = 3 the estimate is 1.2 times the
+    work at bound 100 and 2.7 times at 315 (63,641 against about 23,500), and
+    for n = 4..6 at the largest admitted bounds 3 to 4.5 times.  The estimate
+    is kept as it is so that `cli.VERIFY_SEARCH_LIMIT` admits the same searches.
+    As C(m, i) >= 2^i for i <= m / 2, huge n or bound pass sys.maxsize within
+    63 factors: math.inf.
     """
     tuples, m = 1, bound + n - 2
     for i in range(min(n - 1, bound - 1)):

@@ -6,6 +6,7 @@ from pipgeom.vieta import (
     BoundViolationError,
     NTuple,
     VietaSolution,
+    _sorted_solutions,
     _square_divisors,
     all_reduced_solutions,
     enumerate_reduced,
@@ -227,6 +228,30 @@ def test_family_fibonacci_closed_form_to_depth_ten():
         assert (fam[j].x, fam[j].y, fam[j].z) == (1, fib[2 * j - 2] ** 2, fib[2 * j] ** 2)
 
 
+def reference_family(seed, j_max):
+    """The family recursion written out, as (x, y, z) per state."""
+    b, (x, y, z) = seed.b, seed.triple()
+    states = [(x, y, z)]
+    for _ in range(j_max):
+        y, z = z, b * x * z - 2 * (x + z) - y
+        states.append((x, y, z))
+    return states
+
+
+def test_family_matches_the_recursion_to_depth_200():
+    for seed in all_reduced_solutions():
+        fam = family(seed, 200)
+        assert [(st.x, st.y, st.z) for st in fam] == reference_family(seed, 200)
+        assert [st.j for st in fam] == list(range(201))
+
+
+def test_family_rejects_a_step_that_does_not_grow(monkeypatch):
+    # a conjugate that returns the middle entry leaves z where it was
+    monkeypatch.setattr("pipgeom.vieta._jump", lambda b, p, q, e: (p, e, q))
+    with pytest.raises(AssertionError, match="j=1"):
+        family(VietaSolution(1, 1, 1, 9), 3)
+
+
 def test_family_requires_reduced_seed():
     with pytest.raises(ValueError):
         family(VietaSolution(1, 1, 4, 9), 2)
@@ -280,6 +305,15 @@ def test_verify_general_bound_matches_pruned(n, bound):
     expected = pruned_general_bound(n, bound)
     assert expected
     assert verify_general_bound(n, bound).solutions == expected
+
+
+@pytest.mark.parametrize(
+    "n, bound", [(3, 100), (3, 200), (3, 315), (4, 40), (4, 60), (5, 20), (6, 12)]
+)
+def test_sorted_solutions_match_pruned_at_benchmark_size(n, bound):
+    expected = [(t.values, t.b) for t in pruned_general_bound(n, bound)]
+    assert expected
+    assert _sorted_solutions(n, bound) == expected
 
 
 def test_is_solution_any_length_and_ntuple():
