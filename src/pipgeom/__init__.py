@@ -16,7 +16,7 @@ from .ehrhart import (
     reconstruct_quasipolynomial,
 )
 from .exact import AffineMap, IntMat2, Vec2, det2, primitive
-from .polygon import Edge, RationalPolygon, hull, triangle_invariant
+from .polygon import RationalPolygon, hull, triangle_invariant
 from .vieta import (
     FamilyState,
     VietaSolution,
@@ -33,7 +33,6 @@ from .vieta import (
 __all__ = [
     "AffineMap",
     "CountReport",
-    "Edge",
     "FamilyState",
     "IntMat2",
     "PipCertificate",

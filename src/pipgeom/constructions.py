@@ -15,8 +15,7 @@ example-b1 / -b2    rational triangles with i interior points and just
                     1 or 2 boundary points (unattainable integrally)
 t-xyz               one-interior-point triangles built from a solution
                     of b = (x+y+z)^2/(xyz) with x | y and x | z
-fibonacci           the t-xyz instances at (1, F_{2j-1}^2, F_{2j+1}^2),
-                    written directly in terms of Fibonacci numbers
+fibonacci           the t-xyz instances at (1, F_{2j-1}^2, F_{2j+1}^2)
 scott-grid          integral polygons realizing every (i, b) allowed
                     for integral polygons (b <= 2i+6, plus b <= 9 when
                     i = 1); this package's own explicit family
@@ -114,44 +113,25 @@ def example_pip_b2(i: int) -> RationalPolygon:
 def t_xyz(s: VietaSolution) -> RationalPolygon:
     """Triangle cut out by <u_k, a> <= 1 for the normals of a solution.
 
-    The normals are (y, (y+z)/x), (-x, -1), (0, -1), which needs
-    x | y and x | z; the recursively generated families satisfy this
-    but not every solution does, e.g. (4, 5, 81) at b = 5.
-    Vertices come out as (-(x+y+z)/(xz), (x+y)/z), (0, -1),
-    ((x+y+z)/(xy), -1).
+    The normals are (0, -1), (y, (y+z)/x), (-x, -1), with pairwise
+    determinants y, z, x; they need x | y and x | z, which the
+    recursively generated families satisfy but not every solution does,
+    e.g. (4, 5, 81) at b = 5.
     """
     x, y, z = s.triple()
     if y % x or z % x:
         raise NotConstructibleError(
             f"({x},{y},{z}) violates the divisibility x | y, x | z"
         )
-    total = x + y + z
-    return hull(
-        [
-            Vec2(Fraction(-total, x * z), Fraction(x + y, z)),
-            Vec2(0, -1),
-            Vec2(Fraction(total, x * y), -1),
-        ]
-    )
+    return RationalPolygon.from_facets([(0, -1), (y, (y + z) // x), (-x, -1)], [1, 1, 1])
 
 
 def fibonacci_triangle(j: int) -> RationalPolygon:
-    """One-interior-point triangle with 9 boundary points and growing denominator.
-
-    Equals t_xyz at the solution (1, F_{2j-1}^2, F_{2j+1}^2); the
-    vertices below are the same triangle written with Fibonacci ratios.
-    """
+    """One-interior-point triangle with 9 boundary points and growing denominator:
+    t_xyz at the solution (1, F_{2j-1}^2, F_{2j+1}^2)."""
     if j < 1:
         raise ValueError("index must be >= 1")
-    fm, fp = fibonacci(2 * j - 1), fibonacci(2 * j + 1)
-    r = Fraction(3 * fm, fp)
-    return hull(
-        [
-            Vec2(-r, r - 1),
-            Vec2(0, -1),
-            Vec2(Fraction(3 * fp, fm), -1),
-        ]
-    )
+    return t_xyz(VietaSolution(1, fibonacci(2 * j - 1) ** 2, fibonacci(2 * j + 1) ** 2, 9))
 
 
 # --- integral polygons for the full (i, b) range ----------------------------

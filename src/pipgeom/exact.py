@@ -75,13 +75,6 @@ class Vec2:
     def __rmul__(self, k: Scalar) -> "Vec2":
         return Vec2(k * self.x, k * self.y)
 
-    def dot(self, other: "Vec2") -> Fraction:
-        return self.x * other.x + self.y * other.y
-
-    def perp(self) -> "Vec2":
-        """Counterclockwise rotation by a quarter turn."""
-        return Vec2(-self.y, self.x)
-
     @property
     def is_integral(self) -> bool:
         return self.x.denominator == 1 and self.y.denominator == 1

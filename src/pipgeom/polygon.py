@@ -1,11 +1,12 @@
-"""Convex rational polygons: hull, edges, normals, duals, invariants.
+"""Convex rational polygons: hull, facets, duals, invariants.
 
 Polygons are stored in a canonical form (counterclockwise, starting at
 the lexicographically least vertex) so that equality is structural and
 fixtures are stable.  Construction goes through :func:`hull`, a
 monotone-chain hull whose comparisons and orientation tests run on the
 homogeneous integer coordinates (X, Y, d) of each point; collinear and
-interior points are absorbed.
+interior points are absorbed.  `RationalPolygon.from_facets` builds a
+polygon from its facet data instead: primitive normals and offsets.
 
 Vertices are `Fraction`s, but the constructor checks the canonical form
 on the same homogeneous integers, and every edge fact comes from one
@@ -20,12 +21,11 @@ row per edge from which `counting.count_boundary` counts and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from typing import Iterable, NamedTuple, Sequence
 
-from .exact import AffineMap, Scalar, Vec2, det2, format_rational, parse_rational
+from .exact import AffineMap, Scalar, Vec2, format_rational, parse_rational
 
 
 class DegenerateHullError(ValueError):
@@ -55,30 +55,14 @@ def _dual_step(sx: int, sy: int) -> tuple[int, int]:
     return sx, 0
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Closed polygon edge with its primitive outer normal.
+def _det(u: tuple[int, int], v: tuple[int, int]) -> int:
+    """Determinant of the 2x2 integer matrix with columns u, v."""
+    return u[0] * v[1] - u[1] * v[0]
 
-    `offset` is the common value of <normal, p> over the edge; the
-    polygon lies in <normal, p> <= offset.  `steps` is <w, B> - <w, A>
-    from the edge's row of `RationalPolygon.edge_table`: the lattice
-    length of the edge of D * P, for the denominator D.
-    """
 
-    start: Vec2
-    end: Vec2
-    normal: Vec2
-    offset: Fraction
-    steps: int
-    denominator: int
-
-    def lattice_distance(self, p: Vec2) -> Fraction:
-        """Lattice distance from p to the affine span of the edge."""
-        return abs(self.normal.dot(p) - self.offset)
-
-    def lattice_length(self) -> Fraction:
-        """Length of the edge measured in lattice steps along its span."""
-        return Fraction(self.steps, self.denominator)
+def _upper(n: tuple[int, int]) -> bool:
+    """Whether the direction of n has angle in [0, pi)."""
+    return n[1] > 0 or (n[1] == 0 and n[0] > 0)
 
 
 class EdgeTable(NamedTuple):
@@ -113,6 +97,37 @@ class RationalPolygon:
         if any(_lex_cmp(h, H[0]) < 0 for h in H):
             raise ValueError("canonical form starts at the lexicographically least vertex")
         self.vertices = vs
+
+    @classmethod
+    def from_facets(cls, normals: Sequence[tuple[int, int]], offsets: Sequence[Scalar]) -> "RationalPolygon":
+        """The polygon whose edges are exactly the facets <n_k, p> <= c_k, in order.
+
+        `normals` are primitive integer vectors in counterclockwise order,
+        `offsets` rationals.  With c_k = C_k / L over one denominator L,
+        facets n = n_k and m = n_{k+1} meet at the vertex
+        (C_k*m_y - C_{k+1}*n_y, C_{k+1}*n_x - C_k*m_x) / (L*det(n, m)),
+        Cramer's rule on integers.  Raises NotConvexOrderError unless the
+        normals turn once around and every edge has positive lattice
+        length by :func:`edge_lattice_length_from_normals`, so a redundant
+        facet is refused, never absorbed.
+        """
+        ns, n = list(normals), len(normals)
+        if len(offsets) != n or any(math.gcd(*u) != 1 for u in ns):
+            raise ValueError("need one offset per facet and primitive integer normals")
+        L = math.lcm(*[c.denominator for c in offsets])
+        C = [c.numerator * (L // c.denominator) for c in offsets]
+        if any(edge_lattice_length_from_normals(ns, C, k) <= 0 for k in range(n)):
+            raise NotConvexOrderError("every edge needs a positive lattice length")
+        # each step turns by less than a half turn, so every full turn
+        # crosses once from the lower half-plane into the upper
+        if sum(not _upper(u) and _upper(m) for u, m in zip(ns, ns[1:] + ns[:1])) != 1:
+            raise NotConvexOrderError("normals must turn once around the origin")
+        vertices = []
+        for k in range(n):
+            (nx, ny), (mx, my), c, cm = ns[k], ns[(k + 1) % n], C[k], C[(k + 1) % n]
+            d = L * (nx * my - ny * mx)
+            vertices.append(Vec2(Fraction(c * my - cm * ny, d), Fraction(cm * nx - c * mx, d)))
+        return hull(vertices)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalPolygon) and self.vertices == other.vertices
@@ -181,16 +196,6 @@ class RationalPolygon:
         xs = [x for x, _ in V]
         return EdgeTable(D, min(xs), max(xs), tuple(columns), tuple(edges))
 
-    @cached_property
-    def _edges(self) -> tuple[Edge, ...]:
-        vs, table = self.vertices, self.edge_table
-        return tuple(
-            [
-                Edge(a, b, Vec2(nx, ny), Fraction(num, den), wb - wa, table.denominator)
-                for a, b, (nx, ny, num, den, wa, wb) in zip(vs, vs[1:] + vs[:1], table.edges)
-            ]
-        )
-
     def boundary_points(self) -> set[tuple[int, int]]:
         """Lattice points on the boundary, from the rows of `edge_table`.
 
@@ -206,16 +211,13 @@ class RationalPolygon:
                 points.update((v * num - ny * j, nx * j - u * num) for j in range(-(-wa // D), -(-wb // D)))
         return points
 
-    def edges(self) -> tuple[Edge, ...]:
-        """Edges in counterclockwise order, starting at the first vertex."""
-        return self._edges
-
     @property
     def is_integral(self) -> bool:
         return self.denominator == 1
 
     def strictly_contains(self, p: Vec2) -> bool:
-        return all(e.normal.dot(p) < e.offset for e in self._edges)
+        """Whether den * <n, p> < num holds for every row of `edge_table`."""
+        return all(den * (nx * p.x + ny * p.y) < num for nx, ny, num, den, _, _ in self.edge_table.edges)
 
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         xs = [v.x for v in self.vertices]
@@ -226,15 +228,15 @@ class RationalPolygon:
         return hull([v + t for v in self.vertices])
 
     def dual(self) -> "RationalPolygon":
-        """Dual polygon conv{ normal / offset } over all edges.
+        """Dual polygon conv{ n * den / num } over the rows of `edge_table`.
 
-        Defined only when the origin is strictly interior, which makes
-        every edge offset positive.
+        Defined only when the origin is strictly interior, that is when
+        every offset num / den is positive.
         """
-        origin = Vec2(0, 0)
-        if not self.strictly_contains(origin):
+        rows = self.edge_table.edges
+        if any(num <= 0 for _, _, num, _, _, _ in rows):
             raise ValueError("dual requires the origin strictly inside the polygon")
-        return hull([Vec2(e.normal.x / e.offset, e.normal.y / e.offset) for e in self._edges])
+        return hull([Vec2(Fraction(nx * den, num), Fraction(ny * den, num)) for nx, ny, num, den, _, _ in rows])
 
     def apply_map(self, m: AffineMap) -> "RationalPolygon":
         """Image under an affine map with unimodular linear part."""
@@ -309,34 +311,24 @@ def _chain(pts: Iterable[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     return out
 
 
-def edge_vector_from_normals(
-    normals: Sequence[Vec2], offsets: Sequence[Scalar], i: int
-) -> Vec2:
-    """Edge vector of edge i of the polygon with the given facet data.
-
-    Normals must be in counterclockwise order with every consecutive
-    determinant positive.  The result equals end - start of edge i when
-    edges are indexed counterclockwise.
-    """
-    return edge_lattice_length_from_normals(normals, offsets, i) * normals[i % len(normals)].perp()
-
-
 def edge_lattice_length_from_normals(
-    normals: Sequence[Vec2], offsets: Sequence[Scalar], i: int
+    normals: Sequence[tuple[int, int]], offsets: Sequence[Scalar], i: int
 ) -> Fraction:
-    """Lattice length of edge i from primitive facet normals and offsets.
+    """Lattice length of edge i from primitive integer facet normals and offsets.
 
-    For a triangle with normals u (edge i), v, w and offsets alpha, beta, gamma
-    it is (alpha*x + beta*y + gamma*z) / (y*z), x = det(v, w), y = det(w, u), z = det(u, v).
+    With u = normals[i], its neighbours u- and u+ and their offsets c-, c
+    and c+, it is (c-*det(u, u+) - c*det(u-, u+) + c+*det(u-, u)) /
+    (det(u-, u) * det(u, u+)).  For a triangle with normals u (edge i), v, w
+    and offsets alpha, beta, gamma that is (alpha*x + beta*y + gamma*z) / (y*z),
+    with x = det(v, w), y = det(w, u), z = det(u, v).
     """
     n = len(normals)
-    um, u, up = normals[(i - 1) % n], normals[i % n], normals[(i + 1) % n]
-    cm, c, cp = (Fraction(offsets[(i + k) % n]) for k in (-1, 0, 1))
-    d_mi = det2(um, u)
-    d_ip = det2(u, up)
+    um, u, up = (normals[(i + k) % n] for k in (-1, 0, 1))
+    cm, c, cp = (offsets[(i + k) % n] for k in (-1, 0, 1))
+    d_mi, d_ip = _det(um, u), _det(u, up)
     if d_mi <= 0 or d_ip <= 0:
         raise NotConvexOrderError("consecutive normal determinants must be positive")
-    return (cm * d_ip - c * det2(um, up) + cp * d_mi) / (d_mi * d_ip)
+    return Fraction(cm * d_ip - c * _det(um, up) + cp * d_mi) / (d_mi * d_ip)
 
 
 def triangle_invariant(T: RationalPolygon) -> tuple[int, int, int]:
@@ -344,13 +336,11 @@ def triangle_invariant(T: RationalPolygon) -> tuple[int, int, int]:
 
     Invariant under lattice automorphisms and translations; for the
     one-interior-point triangles built from a Diophantine solution
-    (x, y, z) the value is exactly (x, y, z).
+    (x, y, z) the value is exactly (x, y, z).  The normals come from the
+    rows of `edge_table`, so every determinant is positive.
     """
-    es = T.edges()
-    if len(es) != 3:
+    rows = T.edge_table.edges
+    if len(rows) != 3:
         raise ValueError("triangle invariant is defined for triangles")
-    u, v, w = es[0].normal, es[1].normal, es[2].normal
-    vals = sorted((det2(v, w), det2(w, u), det2(u, v)))
-    if vals[0] <= 0:
-        raise ValueError("degenerate triangle")
-    return tuple(int(d) for d in vals)  # determinants of integer normals are ints
+    u, v, w = [(nx, ny) for nx, ny, _, _, _, _ in rows]
+    return tuple(sorted((_det(v, w), _det(w, u), _det(u, v))))

@@ -13,13 +13,7 @@ from fractions import Fraction
 
 from . import constructions, counting, ehrhart, polygon, vieta
 from .exact import AffineMap, IntMat2, Vec2
-from .polygon import (
-    RationalPolygon,
-    edge_lattice_length_from_normals,
-    edge_vector_from_normals,
-    hull,
-    triangle_invariant,
-)
+from .polygon import RationalPolygon, edge_lattice_length_from_normals, hull, triangle_invariant
 from .vieta import VietaSolution
 
 
@@ -204,7 +198,6 @@ def suite_denominator_grid(i_max: int = 6) -> SuiteResult:
 
 def suite_counterexamples() -> SuiteResult:
     res = SuiteResult("counterexamples")
-    origin = Vec2(0, 0)
 
     Q = constructions.fourgon_distance_two()
     cert = ehrhart.is_pseudointegral(Q)
@@ -212,7 +205,7 @@ def suite_counterexamples() -> SuiteResult:
     res.add("4-gon has exactly one interior lattice point", counting.count_interior(Q, 1) == 1)
     res.add(
         "4-gon has an edge at lattice distance 2 from the origin",
-        any(e.lattice_distance(origin) == 2 for e in Q.edges()),
+        any(abs(num) == 2 * den for _, _, num, den, _, _ in Q.edge_table.edges),
     )
 
     O = constructions.octagon_empty_boundary()
@@ -223,7 +216,7 @@ def suite_counterexamples() -> SuiteResult:
     res.add("8-gon dual is integral", O.dual().is_integral)
     res.add(
         "8-gon edges all at lattice distance 1",
-        all(e.lattice_distance(origin) == 1 for e in O.edges()),
+        all(abs(num) == den for _, _, num, den, _, _ in O.edge_table.edges),
     )
     return res
 
@@ -344,12 +337,12 @@ def suite_properties(count: int = 100, seed: int = 20250810) -> SuiteResult:
     ok = True
     for _ in range(count):
         P = _random_polygon(rng)
-        edges = P.edges()
-        normals = [e.normal for e in edges]
-        offsets = [e.offset for e in edges]
-        for k, e in enumerate(edges):
-            ok &= edge_vector_from_normals(normals, offsets, k) == e.end - e.start
-            ok &= edge_lattice_length_from_normals(normals, offsets, k) == e.lattice_length()
+        table = P.edge_table
+        normals = [(nx, ny) for nx, ny, _, _, _, _ in table.edges]
+        offsets = [Fraction(num, den) for _, _, num, den, _, _ in table.edges]
+        ok &= RationalPolygon.from_facets(normals, offsets) == P
+        for k, (_, _, _, _, wa, wb) in enumerate(table.edges):
+            ok &= edge_lattice_length_from_normals(normals, offsets, k) == Fraction(wb - wa, table.denominator)
     res.add(f"facet-data formulas match direct geometry, {count} polygons", ok)
 
     ok = True
@@ -359,7 +352,7 @@ def suite_properties(count: int = 100, seed: int = 20250810) -> SuiteResult:
         cert = ehrhart.is_pseudointegral(P)
         if cert.is_pip:
             pips += 1
-            ok &= all(e.offset.denominator == 1 for e in P.edges())
+            ok &= all(den == 1 for _, _, _, den, _, _ in P.edge_table.edges)
             ok &= all(
                 counting.count_boundary(P, t) == t * cert.boundary
                 for t in range(1, 3 * P.denominator + 1)

@@ -4,7 +4,9 @@ The brute counters decide membership point by point with half-plane
 tests over the bounding box, deliberately sharing no code with the
 floor-sum counter they check.  The column scan `_count_total_python`
 is the second oracle: it bounds each column of the dilate directly
-instead of summing floors edge by edge.
+instead of summing floors edge by edge.  Both take their half-planes
+from `fraction_edges`, never from `RationalPolygon.edge_table`, whose
+rows the counters under test read.
 
 The Vieta oracles `brute_b_sweep` and `brute_general_bound` visit
 every sorted tuple up to the bound, with no divisor pruning.
@@ -19,10 +21,11 @@ which the integer finite-difference fit is checked.
 
 The integer edge table has `Fraction` oracles: `lattice_progression`
 lists the lattice points of a rational segment, `boundary_by_segments`
-counts the boundary of t*P edge by edge with it, `fraction_hull` is the
-monotone chain with `Fraction` orientation tests, `fraction_edges` takes
-each edge's primitive normal and offset from `Fraction` differences, and
-`fraction_lattice_length` each edge's lattice length.
+counts the boundary of t*P with it over the pairs of consecutive
+vertices, `fraction_hull` is the monotone chain with `Fraction`
+orientation tests, `fraction_edges` takes each edge's primitive normal
+and offset from `Fraction` differences, and `fraction_lattice_length`
+each edge's lattice length.
 
 The random generators are the `properties` suite's own, so a seeded test
 sees the same instance stream as the suite; `random_triangle` differs
@@ -49,13 +52,12 @@ from pipgeom.vieta import NTuple, _square_divisors, is_solution
 
 def brute_counts(P: RationalPolygon, t: int = 1) -> tuple[int, int, int]:
     """(total, boundary, interior) of t*P by exhaustive membership tests."""
-    edges = P.edges()
+    edges = fraction_edges(P)
     xmin, xmax, ymin, ymax = P.bounding_box()
     total = boundary = 0
     for x in range(math.ceil(t * xmin), math.floor(t * xmax) + 1):
         for y in range(math.ceil(t * ymin), math.floor(t * ymax) + 1):
-            p = Vec2(x, y)
-            vals = [(e.normal.dot(p), t * e.offset) for e in edges]
+            vals = [(n.x * x + n.y * y, t * c) for n, c in edges]
             if all(v <= c for v, c in vals):
                 total += 1
                 if any(v == c for v, c in vals):
@@ -72,9 +74,9 @@ def _count_total_python(P: RationalPolygon, t: int) -> int:
     vertex extremes already encode, so they are dropped.
     """
     uppers, lowers = [], []
-    for e in P.edges():
-        nx, ny = e.normal.as_ints()
-        num, den = e.offset.numerator, e.offset.denominator
+    for normal, offset in fraction_edges(P):
+        nx, ny = normal.as_ints()
+        num, den = offset.numerator, offset.denominator
         a, b, c = den * nx, den * ny, num
         if b > 0:
             uppers.append((a, b, c))
@@ -170,7 +172,8 @@ def fraction_lattice_length(a: Vec2, b: Vec2) -> Fraction:
 
 def boundary_by_segments(P: RationalPolygon, t: int) -> int:
     """Boundary lattice points of t*P: closed edges, less each lattice vertex once."""
-    total = sum(segment_lattice_points(t * e.start, t * e.end) for e in P.edges())
+    vs = P.vertices
+    total = sum(segment_lattice_points(t * a, t * b) for a, b in zip(vs, vs[1:] + vs[:1]))
     return total - sum(1 for v in P.vertices if (t * v).is_integral)
 
 
@@ -206,7 +209,7 @@ def fraction_edges(P: RationalPolygon) -> list[tuple[Vec2, Fraction]]:
         m = math.lcm(d.x.denominator, d.y.denominator)
         step = primitive(Vec2(d.x * m, d.y * m))
         normal = Vec2(step.y, -step.x)
-        out.append((normal, normal.dot(a)))
+        out.append((normal, normal.x * a.x + normal.y * a.y))
     return out
 
 

@@ -325,11 +325,42 @@ def test_verify_search_at_the_limit_runs(capsys):
     [
         (["--suite", "b-sweep"], "ad2abf3cce931b2dcef04a1e146063b8b1134d53b2c5a01a83cab2e5a4bf639b"),
         (["--suite", "nvar-bound"], "930abbf01de2c3ca9b33a2763b055c07ee36ada48c7bf79df54fa4bf07926322"),
+        (["--suite", "reduced-table"], "1f51f8d97f3eab710d7f029e698e680d2fc0d320e23def9e9c30b95ec3d32ad8"),
+        (["--suite", "family-grid"], "7ede869c1a721bb3978f38b386222304750339f592a90f89195c38d68ae12fc3"),
+        (["--suite", "fibonacci"], "d822bf4ad9d6851dcaaca4fba8a784ca320402db624cb2bfac6054c56652b649"),
+        (["--suite", "denominator-grid"], "55fddeb45f19f1f7b2dd4bc4e946ada9dc4a8f031f48409e08bc4c1c55cca0d6"),
+        (["--suite", "counterexamples"], "fdac87eb64bbc7bf66a6a63e136416006d9ab139f84d430bf124ce556e9dc391"),
+        (["--suite", "reflexive"], "ffb0adf5a2b85ecc31001763ea06581d48cd8dbc878cf78afd5b4284797434d5"),
+        (["--suite", "properties"], "f043d63d78734a35a4033167caec6b72047d2498d6e47cb667068e76c373df75"),
+        (["--suite", "small-boundary"], "59645432edf2ce6b027991babd254b6952514afbc4b75ec053478eef98f4ecf3"),
     ],
 )
 def test_verify_search_output_unchanged(argv, digest, capsys):
-    # SHA-256 of the stdout written by the per-prefix divisor-pruned searches
+    # SHA-256 of the stdout of every suite at its defaults
     assert main(["verify", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "family, params, digest",
+    [
+        ("t-xyz", "1,1,1", "f9cb7b24ab9d4195332296f35d7864e7466b4f0596f1a3e141f8e1290a180e07"),
+        ("t-xyz", "1,4,25", "f4ff9fcd64179cd9f085720e9ac8c8503430e09a8696d7f855bfa653f0028fb9"),
+        ("t-xyz", "3,6,9", "0e7dfbdeb36a4054f41d89796816ef5ddcdf3f28abb1833a64c8a02b0adc45dc"),
+        # state j = 4 of the family seeded at (3, 6, 9), b = 2
+        ("t-xyz", "3,294,1089", "e80627fb8c55c37486a0fbf833183191b6b7719a9de0d4e8a00a92074ee70cc4"),
+        ("fibonacci", "1", "6e81d18d90cf351febca6117cc67cc147a1d8243279848091b88604201ef426d"),
+        ("fibonacci", "2", "f4ff9fcd64179cd9f085720e9ac8c8503430e09a8696d7f855bfa653f0028fb9"),
+        ("fibonacci", "3", "aebb24b778701543e9322965dcf3aa70dfbce669cd72ab4f68a2c29943abed80"),
+        ("fibonacci", "4", "d0dfe53f79f662055bfb87c7e82f3b211c1ce5ab4de7aeba2f2f9219bf453cce"),
+        ("fibonacci", "5", "df2a3dcb442cb43664cfaabc0d7b2193521ab1643f0f7af1b0a1179fd1ca0d74"),
+        ("example-b1", "3", "0d49ba008ec2c42943c359bdde2dcb8b47e3eb3c7709a788cf44571a30be5cdb"),
+        ("example-b2", "3", "4681fc8d1efdff0f237cb5546390abf061ffce3471e709e67fef4349128fd68a"),
+    ],
+)
+def test_construct_output_unchanged(family, params, digest, capsys):
+    # SHA-256 of the polygon JSON that `construct` writes
+    assert main(["construct", "--family", family, "--params", params]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

@@ -90,9 +90,20 @@ def test_t_xyz_normals_and_offsets_match_construction():
         sol = VietaSolution(*s)
         x, y, z = sol.triple()
         T = t_xyz(sol)
-        got = {(e.normal.as_ints(), e.offset) for e in T.edges()}
+        got = {((nx, ny), F(num, den)) for nx, ny, num, den, _, _ in T.edge_table.edges}
         expected = {((y, (y + z) // x), F(1)), ((-x, -1), F(1)), ((0, -1), F(1))}
         assert got == expected
+
+
+def test_t_xyz_vertices_match_closed_form():
+    # vertices worked out by hand from the facets, an independent reference
+    # for the Cramer's rule in RationalPolygon.from_facets
+    for seed in all_reduced_solutions():
+        for state in family(seed, 4):
+            x, y, z = state.solution().triple()
+            total = x + y + z
+            expected = [Vec2(F(-total, x * z), F(x + y, z)), Vec2(0, -1), Vec2(F(total, x * y), -1)]
+            assert t_xyz(state.solution()) == hull(expected)
 
 
 def test_t_xyz_rejects_bad_divisibility():
@@ -128,17 +139,14 @@ def test_boundary_count_is_seed_b_to_depth_five():
 def test_t_xyz_per_edge_lattice_length_identity():
     # each edge's directly counted lattice length equals
     # (x + y + z) / (xyz) times the determinant of the other two normals
-    from pipgeom.exact import det2
-
     for seed in all_reduced_solutions():
         x, y, z = seed.triple()
-        T = t_xyz(seed)
-        edges = T.edges()
+        table = t_xyz(seed).edge_table
+        normals = [(nx, ny) for nx, ny, _, _, _, _ in table.edges]
         total = F(x + y + z, x * y * z)
-        for k, e in enumerate(edges):
-            v = edges[(k + 1) % 3].normal
-            w = edges[(k + 2) % 3].normal
-            assert e.lattice_length() == total * det2(v, w)
+        for k, (_, _, _, _, wa, wb) in enumerate(table.edges):
+            (vx, vy), (wx, wy) = normals[(k + 1) % 3], normals[(k + 2) % 3]
+            assert F(wb - wa, table.denominator) == total * (vx * wy - vy * wx)
 
 
 def test_fibonacci_triangle_examples():
@@ -153,6 +161,9 @@ def test_fibonacci_triangle_matches_t_xyz():
     for j in range(1, 6):
         fm, fp = fibonacci(2 * j - 1), fibonacci(2 * j + 1)
         assert fibonacci_triangle(j) == t_xyz(VietaSolution.from_triple(1, fm * fm, fp * fp))
+        # the same triangle written with Fibonacci ratios, worked out by hand
+        r = F(3 * fm, fp)
+        assert fibonacci_triangle(j) == hull([Vec2(-r, r - 1), Vec2(0, -1), Vec2(F(3 * fp, fm), -1)])
 
 
 def test_fibonacci_invariants_distinct():

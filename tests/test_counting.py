@@ -27,6 +27,7 @@ from conftest import (
     boundary_by_segments,
     brute_counts,
     brute_segment_points,
+    fraction_lattice_length,
     lattice_progression,
     random_polygon,
     segment_lattice_points,
@@ -89,7 +90,8 @@ def test_count_total_beyond_int64(rng):
     shift = Vec2(2**70 + 3, -(2**70) - 5)
     for _ in range(10):
         P = random_polygon(rng, max_den=1).translate(shift)
-        B = sum(e.lattice_length() for e in P.edges())
+        vs = P.vertices
+        B = sum(fraction_lattice_length(a, b) for a, b in zip(vs, vs[1:] + vs[:1]))
         for t in (1, 7, 999, 10**6):
             assert count_total(P, t) == P.area * t * t + B / 2 * t + 1
 
@@ -118,7 +120,8 @@ def test_count_boundary_beyond_int64(rng):
     shift = Vec2(2**70 + 3, -(2**70) - 5)
     for _ in range(10):
         P = random_polygon(rng, max_den=1).translate(shift)
-        B = sum(e.lattice_length() for e in P.edges())
+        vs = P.vertices
+        B = sum(fraction_lattice_length(a, b) for a, b in zip(vs, vs[1:] + vs[:1]))
         for t in (1, 7, 999, 10**6):
             assert count_boundary(P, t) == t * B
     # an integer shift moves t*P by the lattice vector t*shift
@@ -165,9 +168,10 @@ def test_segment_rejects_degenerate():
 
 def test_closed_edge_count_is_lattice_length_plus_one(rng):
     for _ in range(40):
-        P = random_polygon(rng, max_den=1)  # integral polygon
-        for e in P.edges():
-            assert segment_lattice_points(e.start, e.end) == e.lattice_length() + 1
+        P = random_polygon(rng, max_den=1)  # integral polygon, so D = 1
+        vs = P.vertices
+        for a, b, (_, _, _, _, wa, wb) in zip(vs, vs[1:] + vs[:1], P.edge_table.edges):
+            assert segment_lattice_points(a, b) == wb - wa + 1
 
 
 def test_pick_formula_for_integral_polygons(rng):

@@ -117,7 +117,6 @@ def test_vec2_is_normalized_and_hashable():
     v = Vec2(Fraction(2, 4), 3)
     assert v.x == Fraction(1, 2) and v.x.denominator == 2
     assert hash(v) == hash(Vec2(Fraction(1, 2), Fraction(3)))
-    assert v.perp() == Vec2(-3, Fraction(1, 2))
 
 
 def test_intmat2_inverse_and_det():

@@ -20,7 +20,6 @@ from pipgeom.polygon import (
     NotConvexOrderError,
     RationalPolygon,
     edge_lattice_length_from_normals,
-    edge_vector_from_normals,
     hull,
     triangle_invariant,
 )
@@ -38,6 +37,11 @@ from conftest import (
 
 UNIT_SQUARE = hull([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
 T111 = hull([Vec2(-3, 2), Vec2(0, -1), Vec2(3, -1)])
+
+
+def facet_data(P: RationalPolygon) -> list[tuple[tuple[int, int], F]]:
+    """(normal, offset) per row of `P.edge_table`, the normal as an integer pair."""
+    return [((nx, ny), F(num, den)) for nx, ny, num, den, _, _ in P.edge_table.edges]
 
 
 def test_hull_absorbs_interior_point():
@@ -124,11 +128,46 @@ def _catalog_and_random() -> list[RationalPolygon]:
 
 def test_edges_match_fraction_normals_and_offsets():
     for P in _catalog_and_random():
-        vs = P.vertices
-        assert [(e.start, e.end) for e in P.edges()] == list(zip(vs, vs[1:] + vs[:1]))
-        assert [(e.normal, e.offset) for e in P.edges()] == fraction_edges(P)
-        for e in P.edges():
-            assert e.lattice_length() == fraction_lattice_length(e.start, e.end)
+        vs, table = P.vertices, P.edge_table
+        assert [(Vec2(*n), c) for n, c in facet_data(P)] == fraction_edges(P)
+        for a, b, (_, _, _, _, wa, wb) in zip(vs, vs[1:] + vs[:1], table.edges):
+            assert F(wb - wa, table.denominator) == fraction_lattice_length(a, b)
+
+
+def test_from_facets_rebuilds_every_polygon():
+    for P in _catalog_and_random():
+        normals, offsets = zip(*facet_data(P))
+        assert RationalPolygon.from_facets(normals, offsets) == P
+
+
+SQUARE_NORMALS = [(0, -1), (1, 0), (0, 1), (-1, 0)]
+
+
+@pytest.mark.parametrize(
+    "normals, offsets",
+    [
+        # consecutive determinants are all positive, but the facet
+        # <(1, 1), p> <= 5 misses the square [-1, 1]^2 and would give no edge
+        ([(0, -1), (1, 0), (1, 1), (0, 1), (-1, 0)], [1, 1, 5, 1, 1]),
+        ([(0, -1), (1, 0), (-1, 0)], [1, 1, 1]),
+        (SQUARE_NORMALS[::-1], [1, 1, 1, 1]),
+        # a pentagram: every consecutive determinant and every lattice
+        # length is positive, but the normals turn twice around
+        ([(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)], [1, 1, 1, 1, 1]),
+    ],
+    ids=["redundant-facet", "zero-determinant", "reversed", "turns-twice"],
+)
+def test_from_facets_refuses_data_of_no_polygon(normals, offsets):
+    with pytest.raises(NotConvexOrderError):
+        RationalPolygon.from_facets(normals, offsets)
+
+
+def test_from_facets_refuses_non_primitive_normals():
+    with pytest.raises(ValueError, match="primitive"):
+        RationalPolygon.from_facets([(0, -2), (1, 0), (0, 1), (-1, 0)], [2, 1, 1, 1])
+    assert RationalPolygon.from_facets(SQUARE_NORMALS, [1, 1, 1, 1]) == hull(
+        [Vec2(-1, -1), Vec2(1, -1), Vec2(1, 1), Vec2(-1, 1)]
+    )
 
 
 def test_boundary_points_match_brute_force():
@@ -138,7 +177,7 @@ def test_boundary_points_match_brute_force():
         brute = set()
         for x in range(math.ceil(xmin), math.floor(xmax) + 1):
             for y in range(math.ceil(ymin), math.floor(ymax) + 1):
-                levels = [n.dot(Vec2(x, y)) - c for n, c in facets]
+                levels = [n.x * x + n.y * y - c for n, c in facets]
                 if max(levels) == 0:
                     brute.add((x, y))
         points = P.boundary_points()
@@ -168,19 +207,17 @@ def test_canonical_form_is_validated():
 
 
 def test_unit_square_edges():
-    data = [(e.normal.as_ints(), e.offset) for e in UNIT_SQUARE.edges()]
-    assert data == [((0, -1), 0), ((1, 0), 1), ((0, 1), 1), ((-1, 0), 0)]
+    assert facet_data(UNIT_SQUARE) == [((0, -1), 0), ((1, 0), 1), ((0, 1), 1), ((-1, 0), 0)]
 
 
 def test_t111_edges():
-    data = [(e.normal.as_ints(), e.offset) for e in T111.edges()]
-    assert data == [((-1, -1), 1), ((0, -1), 1), ((1, 2), 1)]
+    assert facet_data(T111) == [((-1, -1), 1), ((0, -1), 1), ((1, 2), 1)]
 
 
 def test_fourgon_edges_have_offset_two():
     P = hull([Vec2(1, 0), Vec2(0, F(2, 3)), Vec2(-1, 0), Vec2(0, F(-2, 3))])
-    assert {e.normal.as_ints() for e in P.edges()} == {(2, 3), (2, -3), (-2, 3), (-2, -3)}
-    assert all(e.offset == 2 for e in P.edges())
+    assert {n for n, _ in facet_data(P)} == {(2, 3), (2, -3), (-2, 3), (-2, -3)}
+    assert all(c == 2 for _, c in facet_data(P))
 
 
 def test_edge_normals_point_outward(rng):
@@ -191,17 +228,15 @@ def test_edge_normals_point_outward(rng):
             sum((v.x for v in P.vertices), F(0)) / n,
             sum((v.y for v in P.vertices), F(0)) / n,
         )
-        for e in P.edges():
-            assert e.normal.dot(centroid) < e.offset
+        for (nx, ny), c in facet_data(P):
+            assert nx * centroid.x + ny * centroid.y < c
 
 
 def test_consecutive_normal_determinants_positive(rng):
-    from pipgeom.exact import det2
-
     for _ in range(50):
         P = random_polygon(rng)
-        ns = [e.normal for e in P.edges()]
-        assert all(det2(ns[i], ns[(i + 1) % len(ns)]) > 0 for i in range(len(ns)))
+        ns = [n for n, _ in facet_data(P)]
+        assert all(a[0] * b[1] - a[1] * b[0] > 0 for a, b in zip(ns, ns[1:] + ns[:1]))
 
 
 def test_area_examples():
@@ -227,12 +262,12 @@ def test_denominator_examples():
 
 
 def test_lattice_distance_examples():
-    origin = Vec2(0, 0)
-    right = next(e for e in UNIT_SQUARE.edges() if e.normal == Vec2(1, 0))
-    assert right.lattice_distance(origin) == 1
-    assert all(e.lattice_distance(origin) == 1 for e in T111.edges())
+    # the lattice distance from the origin to the line <n, p> = c is |c|
+    right = next(c for n, c in facet_data(UNIT_SQUARE) if n == (1, 0))
+    assert abs(right) == 1
+    assert all(abs(c) == 1 for _, c in facet_data(T111))
     fourgon = hull([Vec2(1, 0), Vec2(0, F(2, 3)), Vec2(-1, 0), Vec2(0, F(-2, 3))])
-    assert all(e.lattice_distance(origin) == 2 for e in fourgon.edges())
+    assert all(abs(c) == 2 for _, c in facet_data(fourgon))
 
 
 def test_dual_examples():
@@ -267,49 +302,45 @@ def test_apply_map_examples():
         UNIT_SQUARE.apply_map(AffineMap(IntMat2(2, 0, 0, 1), Vec2(0, 0)))
 
 
+def _edge_vectors(P: RationalPolygon) -> list[Vec2]:
+    """Edge k's vector from facet data: its lattice length times the normal turned a quarter left."""
+    normals, offsets = zip(*facet_data(P))
+    return [edge_lattice_length_from_normals(normals, offsets, k) * Vec2(-ny, nx) for k, (nx, ny) in enumerate(normals)]
+
+
 def test_edge_vector_formula_on_square():
     square = hull([Vec2(1, 1), Vec2(-1, 1), Vec2(-1, -1), Vec2(1, -1)])
-    edges = square.edges()
-    normals = [e.normal for e in edges]
-    offsets = [e.offset for e in edges]
-    for k, e in enumerate(edges):
-        v = edge_vector_from_normals(normals, offsets, k)
-        assert v == e.end - e.start
+    vs = square.vertices
+    for v, a, b in zip(_edge_vectors(square), vs, vs[1:] + vs[:1]):
+        assert v == b - a
         assert abs(v.x) + abs(v.y) == 2  # side length 2, axis-parallel
 
 
 def test_edge_vector_formula_on_t111_bottom_edge():
-    edges = T111.edges()
-    normals = [e.normal for e in edges]
-    offsets = [e.offset for e in edges]
-    bottom = next(k for k, e in enumerate(edges) if e.normal == Vec2(0, -1))
-    assert edge_vector_from_normals(normals, offsets, bottom) == Vec2(3, 0)
-    assert edges[bottom].end - edges[bottom].start == Vec2(3, 0)
+    bottom = [n for n, _ in facet_data(T111)].index((0, -1))
+    assert _edge_vectors(T111)[bottom] == Vec2(3, 0)
+    vs = T111.vertices
+    assert vs[(bottom + 1) % 3] - vs[bottom] == Vec2(3, 0)
 
 
 def test_edge_vector_formula_rejects_bad_order():
-    ns = [Vec2(0, -1), Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0)]
     with pytest.raises(NotConvexOrderError):
-        edge_vector_from_normals(list(reversed(ns)), [1, 1, 1, 1], 0)
+        edge_lattice_length_from_normals(SQUARE_NORMALS[::-1], [1, 1, 1, 1], 0)
 
 
 def test_formulas_match_geometry_randomized(rng):
     for _ in range(100):
         T = random_triangle(rng)
-        edges = T.edges()
-        normals = [e.normal for e in edges]
-        offsets = [e.offset for e in edges]
-        for k, e in enumerate(edges):
-            assert edge_vector_from_normals(normals, offsets, k) == e.end - e.start
-            length = e.lattice_length()
-            assert edge_lattice_length_from_normals(normals, offsets, k) == length
+        vs, table = T.vertices, T.edge_table
+        for v, a, b, row in zip(_edge_vectors(T), vs, vs[1:] + vs[:1], table.edges):
+            assert v == b - a
+            assert fraction_lattice_length(a, b) == F(row[5] - row[4], table.denominator)
 
 
 def test_lattice_length_examples():
-    assert all(e.lattice_length() == 3 for e in T111.edges())
-    assert all(e.lattice_length() == 1 for e in UNIT_SQUARE.edges())
-    edges = T111.edges()
-    normals = [e.normal for e in edges]
+    for P, length in ((T111, 3), (UNIT_SQUARE, 1)):
+        assert all(F(wb - wa, P.denominator) == length for _, _, _, _, wa, wb in P.edge_table.edges)
+    normals = [n for n, _ in facet_data(T111)]
     for k in range(3):
         assert edge_lattice_length_from_normals(normals, [1, 1, 1], k) == 3
 
