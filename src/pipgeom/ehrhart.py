@@ -9,6 +9,18 @@ coefficients as integers over 2*D^2, and the fourth must make the third
 difference zero, which turns any counting bug into a loud failure
 instead of a wrong certificate.
 
+Only the residues r = 0..D//2 are counted.  By Ehrhart-Macdonald
+reciprocity (Macdonald, J. London Math. Soc. 1971; Beck & Robins,
+*Computing the Continuous Discretely*, ch. 4) the interior count of a
+polygon at t >= 1 is the count quasipolynomial at -t, so the interior
+counts at the dilates of residue r, totals minus boundary counts, fit
+the class of -r mod D: a fit (K0, K1, K2) / (2*D^2) there gives the
+triple (K0, -K1, K2) / (2*D^2) of residue -r mod D.  Three checks guard
+the fits: the fourth sample of each, totals and interior counts alike;
+for the self-paired residues 0 and D/2 the two fits must give the same
+triple; and a non-PIP witness taken from the mirrored half is counted
+directly and must match.
+
 A polygon is pseudointegral (a PIP) when the count function is a
 genuine polynomial, i.e. when all residue classes share one
 coefficient triple.  For a PIP the polynomial is
@@ -27,9 +39,9 @@ from .exact import format_rational
 from .polygon import RationalPolygon
 
 # Largest certification `certify` and the family-grid suite start, as
-# denominator D times edges: the residue fits make 4*D count calls of one
-# floor sum per edge.  The Fibonacci triangle j = 7 (D = 142,130, 426,390
-# at 3 edges) takes about 6 s; a D of 10^9 would take hours.
+# denominator D times edges: the residue fits make 4*(D//2 + 1) count calls
+# of one floor sum per edge.  The Fibonacci triangle j = 7 (D = 142,130,
+# 426,390 at 3 edges) takes about 4.5 s; a D of 10^9 would take hours.
 CERTIFY_WORK_LIMIT = 5 * 10**5
 
 
@@ -82,18 +94,41 @@ class QuasiPolynomial:
         }
 
 
+def _fit(D: int, r: int, samples: list[int], what: str) -> tuple[int, int, int]:
+    """Numerators over 2*D^2 of the quadratic through four samples at t0 + k*D.
+
+    The dilates are those of residue r: t0 = r, or t0 = D for r = 0.
+    With dd = n2 - 2*n1 + n0 and a1 = 2*D*(n1 - n0) - dd*(2*t0 + D), the
+    numerators are (2*D^2*n0 - t0*a1 - dd*t0^2, a1, dd).  The fourth
+    sample must make the third difference zero; otherwise, impossible for
+    a correct counter, :class:`CountingConsistencyError` names residue r
+    and `what` was fitted.
+    """
+    t0 = r or D
+    n0, n1, n2, n3 = samples
+    predicted = 3 * (n2 - n1) + n0
+    if n3 != predicted:
+        raise CountingConsistencyError(
+            f"residue {r}: {what}quadratic predicts {predicted} at t={t0 + 3 * D}, counted {n3}"
+        )
+    dd = n2 - 2 * n1 + n0
+    a1 = 2 * D * (n1 - n0) - dd * (2 * t0 + D)
+    return 2 * D * D * n0 - t0 * a1 - dd * t0 * t0, a1, dd
+
+
 def reconstruct_quasipolynomial(P: RationalPolygon) -> QuasiPolynomial:
     """Fit the count quasipolynomial of P with period den(P).
 
-    For residue r the counts n0..n3 are taken at t = t0 + k*D for
-    k = 0..3, with t0 = r (t0 = D for the r = 0 class).  The samples are
-    equally spaced, so integer finite differences give the quadratic
-    exactly: with dd = n2 - 2*n1 + n0 and
-    a1 = 2*D*(n1 - n0) - dd*(2*t0 + D), the triple is
-    (2*D^2*n0 - t0*a1 - dd*t0^2, a1, dd) / (2*D^2).  The fourth sample
-    validates the fit: its third difference must vanish, and a nonzero
-    one, impossible for a correct counter, raises
-    :class:`CountingConsistencyError`.
+    Residues r = 0..D//2 are counted: totals n_k at t_k = t0 + k*D for
+    k = 0..3, with t0 = r (t0 = D for r = 0), fit residue r, and the
+    interior counts n_k - count_boundary(P, t_k) at the same dilates fit
+    residue -r mod D by reciprocity: interior(t) = L(-t) for the count
+    quasipolynomial L, so a fit (K0, K1, K2) gives (K0, -K1, K2) there.
+    Both fits check their fourth sample, and a nonzero third difference
+    raises :class:`CountingConsistencyError`.  Residues 0 and D/2 are
+    their own mirror, so there the two fits must agree, which checks
+    `count_boundary` against `count_total` at four dilates on every
+    polygon.  That makes 4*(D//2 + 1) calls of each counter.
 
     Residues with equal numerators share one coefficient tuple, so for
     a PIP every class holds the same object.
@@ -101,26 +136,28 @@ def reconstruct_quasipolynomial(P: RationalPolygon) -> QuasiPolynomial:
     D = P.denominator
     scale = 2 * D * D
     shared: dict[tuple[int, int, int], tuple[Fraction, Fraction, Fraction]] = {}
-    triples = []
-    for r in range(D):
-        t0 = r or D
-        n0 = count_total(P, t0)
-        n1 = count_total(P, t0 + D)
-        n2 = count_total(P, t0 + 2 * D)
-        n3 = count_total(P, t0 + 3 * D)
-        predicted = 3 * (n2 - n1) + n0
-        if n3 != predicted:
-            raise CountingConsistencyError(
-                f"residue {r}: quadratic predicts {predicted} at t={t0 + 3 * D}, counted {n3}"
-            )
-        dd = n2 - 2 * n1 + n0
-        a1 = 2 * D * (n1 - n0) - dd * (2 * t0 + D)
-        key = (scale * n0 - t0 * a1 - dd * t0 * t0, a1, dd)
-        triple = shared.get(key)
-        if triple is None:
+
+    def triple(key: tuple[int, int, int]) -> tuple[Fraction, Fraction, Fraction]:
+        found = shared.get(key)
+        if found is None:
             # from a list: tuple() of a generator would leave a resized tuple on a free list
-            triple = shared[key] = tuple([Fraction(c, scale) for c in key])
-        triples.append(triple)
+            found = shared[key] = tuple([Fraction(c, scale) for c in key])
+        return found
+
+    triples: list = [None] * D
+    for r in range(D // 2 + 1):
+        t0 = r or D
+        ts = range(t0, t0 + 4 * D, D)
+        totals = [count_total(P, t) for t in ts]
+        counted = triple(_fit(D, r, totals, ""))
+        k0, k1, k2 = _fit(D, r, [n - count_boundary(P, t) for n, t in zip(totals, ts)], "interior counts: ")
+        mirrored = triple((k0, -k1, k2))
+        if -r % D == r and mirrored != counted:
+            raise CountingConsistencyError(
+                f"residue {r}: interior counts give ({', '.join(map(format_rational, mirrored))}), "
+                f"totals ({', '.join(map(format_rational, counted))})"
+            )
+        triples[r], triples[-r % D] = counted, mirrored
     return QuasiPolynomial(period=D, coeffs=tuple(triples))
 
 
@@ -154,7 +191,11 @@ def is_pseudointegral(P: RationalPolygon) -> PipCertificate:
     """Decide whether the count function of P is a polynomial.
 
     True exactly when all residue coefficient triples of the
-    reconstructed quasipolynomial coincide.  The recovered profile
+    reconstructed quasipolynomial coincide.  Otherwise the witness is
+    residue 0 and the first residue whose triple differs; when that
+    residue was fitted from its mirror's interior counts, its four totals
+    are counted as well and must give the same triple, so both named
+    residues are counted ones.  The recovered profile
     b = 2*c1, i = c2 - c1 + 1 is cross-checked against a direct
     boundary count at t = 1; the two routes can only disagree if
     counting is broken.  The fit sampled the total at t = 1 (residue 1,
@@ -166,6 +207,14 @@ def is_pseudointegral(P: RationalPolygon) -> PipCertificate:
     if not qp.is_polynomial:
         first = qp.coeffs[0]
         witness = next(r for r, c in enumerate(qp.coeffs) if c != first)
+        D = qp.period
+        if witness > D // 2:
+            # a mirrored witness: count its totals too, so both residues named are counted
+            key = _fit(D, witness, [count_total(P, t) for t in range(witness, witness + 4 * D, D)], "")
+            if tuple([Fraction(c, 2 * D * D) for c in key]) != qp.coeffs[witness]:
+                raise CountingConsistencyError(
+                    f"residue {witness}: totals disagree with the interior counts of residue {D - witness}"
+                )
         return PipCertificate(False, qp, witness_residues=(0, witness))
     c0, c1, c2 = qp.coeffs[0]
     b = 2 * c1
@@ -186,7 +235,11 @@ def check_reciprocity(P: RationalPolygon, t_max: int) -> bool:
     """Interior counts against the quasipolynomial at negated arguments.
 
     For polygons (dimension 2) the interior count at t must equal the
-    count quasipolynomial evaluated at -t, for every t = 1..t_max.
+    count quasipolynomial evaluated at -t, for every t = 1..t_max.  The
+    quasipolynomial is itself fitted by this identity, from the interior
+    counts at the dilates t <= 4*D of residues 0..D//2, so up to 4*D the
+    check partly re-reads the fit's own samples; beyond that, and at the
+    dilates of the mirrored residues, the counts are new.
     """
     if t_max < P.denominator:
         raise ValueError("t_max must be at least the polygon denominator")

@@ -79,8 +79,9 @@ class RationalPolygon:
     """Convex polygon with rational vertices in canonical order.
 
     Vertices must be at least 3, strictly convex (no three consecutive
-    collinear), counterclockwise, and start at the lexicographically
-    least vertex.  Use :func:`hull` to build one from arbitrary points.
+    collinear), counterclockwise, wind once around, and start at the
+    lexicographically least vertex.  Use :func:`hull` to build one from
+    arbitrary points.
     """
 
     __slots__ = ("vertices", "__dict__")
@@ -91,9 +92,16 @@ class RationalPolygon:
             raise DegenerateHullError(f"need at least 3 vertices, got {len(vs)}")
         # each test runs on the homogeneous coordinates of its own points
         H = [_homogeneous(v) for v in vs]
-        for o, a, p in zip(H, H[1:] + H[:1], H[2:] + H[:2]):
+        nxt = H[1:] + H[:1]
+        for o, a, p in zip(H, nxt, H[2:] + H[:2]):
             if _turn(o, a, p) <= 0:
                 raise ValueError("vertices not in strictly convex counterclockwise order")
+        # every turn is left and less than a half turn, so the edge directions
+        # wind once around, a convex polygon, exactly when they cross once
+        # from the lower half-plane into the upper; a star winds more often
+        steps = [(bx * ad - ax * bd, by * ad - ay * bd) for (ax, ay, ad), (bx, by, bd) in zip(H, nxt)]
+        if sum(not _upper(s) and _upper(e) for s, e in zip(steps, steps[1:] + steps[:1])) != 1:
+            raise ValueError("vertices wind more than once around")
         if any(_lex_cmp(h, H[0]) < 0 for h in H):
             raise ValueError("canonical form starts at the lexicographically least vertex")
         self.vertices = vs

@@ -11,20 +11,32 @@ from pipgeom.constructions import (
     octagon_empty_boundary,
     t_xyz,
 )
-from pipgeom.counting import count_boundary, count_total
+from pipgeom.counting import count_boundary, count_interior, count_total
 from pipgeom.ehrhart import (
+    CountingConsistencyError,
     QuasiPolynomial,
     check_reciprocity,
     is_pseudointegral,
     reconstruct_quasipolynomial,
 )
 from pipgeom.exact import AffineMap, Vec2
-from pipgeom.polygon import hull
+from pipgeom.polygon import DegenerateHullError, hull
 from pipgeom.vieta import VietaSolution
 
 from conftest import fraction_fit_coeffs, random_polygon, random_unimodular
 
 UNIT_SQUARE = hull([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
+# D = 3: residues 0 and 1 are counted, and the first residue whose triple
+# differs from residue 0's is 2, fitted from residue 1's interior counts
+MIRRORED_WITNESS = hull([Vec2(F(-1, 3), 1), Vec2(1, 1), Vec2(1, 2)])
+
+
+def reciprocity_holds(P, t_max):
+    """check_reciprocity, and the interior counts against the Fraction oracle at -t."""
+    oracle = QuasiPolynomial(P.denominator, fraction_fit_coeffs(P))
+    return check_reciprocity(P, t_max) and all(
+        count_interior(P, t) == oracle.evaluate(-t) for t in range(1, t_max + 1)
+    )
 
 
 def test_unit_square_quasipolynomial():
@@ -102,15 +114,16 @@ def test_witness_residues_differ():
 
 
 def test_reciprocity_examples():
-    assert check_reciprocity(UNIT_SQUARE, 5)
-    assert check_reciprocity(t_xyz(VietaSolution(1, 1, 1, 9)), 6)
-    assert check_reciprocity(construct_pip(4, 2, 12), 12)
+    assert reciprocity_holds(UNIT_SQUARE, 5)
+    assert reciprocity_holds(t_xyz(VietaSolution(1, 1, 1, 9)), 6)
+    assert reciprocity_holds(construct_pip(4, 2, 12), 12)
+    assert reciprocity_holds(MIRRORED_WITNESS, 15)
 
 
 def test_reciprocity_randomized(rng):
     for _ in range(100):
         P = random_polygon(rng, span=4, max_den=2)
-        assert check_reciprocity(P, 2 * P.denominator)
+        assert reciprocity_holds(P, 2 * P.denominator)
 
 
 def test_reciprocity_requires_t_max_at_least_denominator():
@@ -130,7 +143,6 @@ def test_quasipolynomial_evaluate_uses_residue_classes():
 def test_validation_sample_catches_corrupted_counts(monkeypatch):
     import pipgeom.ehrhart as ehrhart_mod
     from pipgeom.counting import count_total as real_count
-    from pipgeom.ehrhart import CountingConsistencyError
 
     def corrupted(P, t=1):
         value = real_count(P, t)
@@ -196,10 +208,9 @@ def test_pip_residues_share_one_triple():
 def test_poisoned_sample_names_its_residue(monkeypatch, sample):
     import pipgeom.ehrhart as ehrhart_mod
     from pipgeom.counting import count_total as real_count
-    from pipgeom.ehrhart import CountingConsistencyError
 
     P = fourgon_distance_two()
-    D, r = P.denominator, 2
+    D, r = P.denominator, 1
     poisoned_t = r + sample * D
 
     def corrupted(Q, t=1):
@@ -214,25 +225,21 @@ def test_poisoned_sample_names_its_residue(monkeypatch, sample):
 @pytest.mark.parametrize(
     "P, message",
     [
-        (UNIT_SQUARE, r"\(0, 4\) disagrees with direct counts \(-1, 5\)"),
-        (fibonacci_triangle(1), r"\(1, 9\) disagrees with direct counts \(0, 10\)"),
-        (fibonacci_triangle(2), r"\(1, 9\) disagrees with direct counts \(0, 10\)"),
+        (UNIT_SQUARE, r"^residue 0: interior counts give \(0, 2, 1\), totals \(1, 2, 1\)$"),
+        (fibonacci_triangle(1), r"^residue 0: interior counts give \(0, 9/2, 9/2\), totals \(1, 9/2, 9/2\)$"),
+        (fibonacci_triangle(2), r"^residue 0: interior counts give \(0, 9/2, 9/2\), totals \(1, 9/2, 9/2\)$"),
     ],
     ids=["unit-square", "fibonacci-1", "fibonacci-2"],
 )
 def test_boundary_cross_check_catches_corrupted_boundary(monkeypatch, P, message):
     import pipgeom.ehrhart as ehrhart_mod
-    from pipgeom.ehrhart import CountingConsistencyError
 
     monkeypatch.setattr(ehrhart_mod, "count_boundary", lambda Q, t=1: count_boundary(Q, t) + 1)
     with pytest.raises(CountingConsistencyError, match=message):
         is_pseudointegral(P)
 
 
-@pytest.mark.parametrize(
-    "P", [UNIT_SQUARE, fibonacci_triangle(2), fourgon_distance_two()], ids=["unit-square", "fibonacci-2", "fourgon"]
-)
-def test_certificate_counts_four_totals_per_residue(monkeypatch, P):
+def _record_count_total(monkeypatch) -> list[int]:
     import pipgeom.counting as counting_mod
     import pipgeom.ehrhart as ehrhart_mod
 
@@ -244,5 +251,83 @@ def test_certificate_counts_four_totals_per_residue(monkeypatch, P):
 
     monkeypatch.setattr(ehrhart_mod, "count_total", counted)
     monkeypatch.setattr(counting_mod, "count_total", counted)
-    is_pseudointegral(P)
-    assert len(calls) == 4 * P.denominator
+    return calls
+
+
+@pytest.mark.parametrize(
+    "P, witness",
+    [(UNIT_SQUARE, None), (fibonacci_triangle(2), None), (octagon_empty_boundary(), 1), (fourgon_distance_two(), 2)],
+    ids=["unit-square", "fibonacci-2", "octagon", "fourgon"],
+)
+def test_certificate_counts_four_totals_per_counted_residue(monkeypatch, P, witness):
+    calls = _record_count_total(monkeypatch)
+    cert = is_pseudointegral(P)
+    D = P.denominator
+    mirrored = witness is not None and witness > D // 2
+    assert cert.witness_residues == (None if witness is None else (0, witness))
+    assert len(calls) == 4 * (D // 2 + 1) + 4 * mirrored
+
+
+def test_mirrored_witness_is_counted(monkeypatch):
+    calls = _record_count_total(monkeypatch)
+    cert = is_pseudointegral(MIRRORED_WITNESS)
+    assert cert.ehrhart.coeffs == (
+        (F(1), F(4, 3), F(2, 3)),
+        (F(1), F(4, 3), F(2, 3)),
+        (F(2, 3), F(4, 3), F(2, 3)),
+    )
+    assert cert.witness_residues == (0, 2)
+    # residues 0 and 1 fit the quasipolynomial, then residue 2 is counted
+    assert calls == [3, 6, 9, 12, 1, 4, 7, 10, 2, 5, 8, 11]
+
+
+def test_mirrored_witness_disagreeing_with_its_totals_is_refused(monkeypatch):
+    import pipgeom.ehrhart as ehrhart_mod
+
+    # a constant shift on residue 2 keeps every fourth-sample check quiet
+    monkeypatch.setattr(ehrhart_mod, "count_total", lambda Q, t=1: count_total(Q, t) + (t % 3 == 2))
+    with pytest.raises(CountingConsistencyError, match=r"^residue 2: totals disagree"):
+        is_pseudointegral(MIRRORED_WITNESS)
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_reciprocity_fit_matches_fraction_oracle(q):
+    # vertices over one denominator q, so D divides q and the oracle stays
+    # cheap; D = q is met for each q, so D runs over odd and even 1..12
+    rng = random.Random(4200 + q)
+    denominators, vertical, verdicts = set(), False, set()
+    for _ in range(20):
+        span = 2 * q
+        pts = [Vec2(F(rng.randint(-span, span), q), F(rng.randint(-span, span), q)) for _ in range(rng.randint(3, 6))]
+        try:
+            P = hull(pts)
+        except DegenerateHullError:
+            continue
+        qp = reconstruct_quasipolynomial(P)
+        assert qp.coeffs == fraction_fit_coeffs(P)
+        denominators.add(P.denominator)
+        vertical |= any(ny == 0 for _, ny, _, _, _, _ in P.edge_table.edges)
+        verdicts.add(qp.is_polynomial)
+    assert q in denominators and vertical
+    if q > 1:
+        assert False in verdicts
+
+
+def test_corrupted_boundary_at_one_dilate_is_caught(monkeypatch):
+    import pipgeom.ehrhart as ehrhart_mod
+
+    monkeypatch.setattr(ehrhart_mod, "count_boundary", lambda Q, t=1: count_boundary(Q, t) + (t == 1))
+    with pytest.raises(CountingConsistencyError, match=r"^residue 1: interior counts: quadratic predicts"):
+        is_pseudointegral(fibonacci_triangle(2))
+
+
+def test_half_period_residue_is_self_paired(monkeypatch):
+    import pipgeom.ehrhart as ehrhart_mod
+
+    P = fibonacci_triangle(2)
+    D = P.denominator
+    assert D == 10
+    # a constant shift on residue D/2 passes its fourth-sample checks
+    monkeypatch.setattr(ehrhart_mod, "count_boundary", lambda Q, t=1: count_boundary(Q, t) + (t % D == D // 2))
+    with pytest.raises(CountingConsistencyError, match=r"^residue 5: interior counts give \(0, 9/2, 9/2\)"):
+        reconstruct_quasipolynomial(P)

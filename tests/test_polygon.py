@@ -206,6 +206,14 @@ def test_canonical_form_is_validated():
             RationalPolygon(vs[k:] + vs[:k])
 
 
+def test_star_vertex_list_is_refused():
+    # every turn is left, but the edge directions wind twice around
+    star = [Vec2(F(-2, 3), F(-5, 9)), Vec2(1, 0), Vec2(F(-2, 3), F(5, 9)), Vec2(1, F(-5, 3)), Vec2(1, F(5, 3))]
+    with pytest.raises(ValueError, match="wind more than once"):
+        RationalPolygon(star)
+    assert hull(star).vertices == (star[0], star[3], star[4], star[2])
+
+
 def test_unit_square_edges():
     assert facet_data(UNIT_SQUARE) == [((0, -1), 0), ((1, 0), 1), ((0, 1), 1), ((-1, 0), 0)]
 
