@@ -7,7 +7,7 @@ polygon families realizing extreme interior/boundary profiles.
 
 __version__ = "0.1.0"
 
-from .counting import CountReport, count_boundary, count_interior, count_total, count_report
+from .counting import CountReport, count_boundary, count_interior, count_report, count_total, dilate_counter
 from .ehrhart import (
     PipCertificate,
     QuasiPolynomial,
@@ -46,6 +46,7 @@ __all__ = [
     "count_report",
     "count_total",
     "det2",
+    "dilate_counter",
     "enumerate_reduced",
     "family",
     "hull",

@@ -3,7 +3,8 @@
 The lattice-point count of the dilates of a rational polygon is a
 degree-2 quasipolynomial whose period divides the polygon denominator
 D.  We reconstruct it residue class by residue class from exact counts
-at four dilates spaced D apart, in integer arithmetic: finite
+at four dilates spaced D apart, taken from one `counting.dilate_counter`
+per polygon, in integer arithmetic: finite
 differences of the first three samples give the quadratic's
 coefficients as integers over 2*D^2, and the fourth must make the third
 difference zero, which turns any counting bug into a loud failure
@@ -24,9 +25,9 @@ directly and must match.
 A polygon is pseudointegral (a PIP) when the count function is a
 genuine polynomial, i.e. when all residue classes share one
 coefficient triple.  For a PIP the polynomial is
-area * t^2 + (b/2) * t + 1, so the boundary and interior counts can be
-read off the coefficients; we recover them both ways and treat any
-disagreement as an internal error.
+area * t^2 + (b/2) * t + 1, so the boundary and interior counts are
+read off the coefficients; the fits at t = 1 already equal them to the
+direct counts there (see `is_pseudointegral`).
 """
 
 from __future__ import annotations
@@ -34,14 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import count_boundary, count_interior, count_total
+from .counting import dilate_counter
 from .exact import format_rational
 from .polygon import RationalPolygon
 
 # Largest certification `certify` and the family-grid suite start, as
-# denominator D times edges: the residue fits make 4*(D//2 + 1) count calls
-# of one floor sum per edge.  The Fibonacci triangle j = 7 (D = 142,130,
-# 426,390 at 3 edges) takes about 4.5 s; a D of 10^9 would take hours.
+# denominator D times edges: the residue fits count 4*(D//2 + 1) dilates,
+# each with one floor sum per edge.  The Fibonacci triangle j = 6
+# (D = 20,737) takes about 0.25 s and j = 7 (D = 142,130, 426,390 at 3
+# edges) about 2.2 s on a 2-vCPU VM; a D of 10^9 would take hours.
 CERTIFY_WORK_LIMIT = 5 * 10**5
 
 
@@ -121,20 +123,22 @@ def reconstruct_quasipolynomial(P: RationalPolygon) -> QuasiPolynomial:
 
     Residues r = 0..D//2 are counted: totals n_k at t_k = t0 + k*D for
     k = 0..3, with t0 = r (t0 = D for r = 0), fit residue r, and the
-    interior counts n_k - count_boundary(P, t_k) at the same dilates fit
-    residue -r mod D by reciprocity: interior(t) = L(-t) for the count
-    quasipolynomial L, so a fit (K0, K1, K2) gives (K0, -K1, K2) there.
-    Both fits check their fourth sample, and a nonzero third difference
-    raises :class:`CountingConsistencyError`.  Residues 0 and D/2 are
-    their own mirror, so there the two fits must agree, which checks
-    `count_boundary` against `count_total` at four dilates on every
-    polygon.  That makes 4*(D//2 + 1) calls of each counter.
+    interior counts n_k - b_k, b_k the boundary counts at the same
+    dilates, fit residue -r mod D by reciprocity: interior(t) = L(-t)
+    for the count quasipolynomial L, so a fit (K0, K1, K2) gives
+    (K0, -K1, K2) there.  Both fits check their fourth sample, and a
+    nonzero third difference raises :class:`CountingConsistencyError`.
+    Residues 0 and D/2 are their own mirror, so there the two fits must
+    agree, which checks the boundary counts against the totals at four
+    dilates on every polygon.  One `dilate_counter` gives both counts of
+    each of the 4*(D//2 + 1) dilates.
 
     Residues with equal numerators share one coefficient tuple, so for
     a PIP every class holds the same object.
     """
     D = P.denominator
     scale = 2 * D * D
+    count = dilate_counter(P)
     shared: dict[tuple[int, int, int], tuple[Fraction, Fraction, Fraction]] = {}
 
     def triple(key: tuple[int, int, int]) -> tuple[Fraction, Fraction, Fraction]:
@@ -147,10 +151,9 @@ def reconstruct_quasipolynomial(P: RationalPolygon) -> QuasiPolynomial:
     triples: list = [None] * D
     for r in range(D // 2 + 1):
         t0 = r or D
-        ts = range(t0, t0 + 4 * D, D)
-        totals = [count_total(P, t) for t in ts]
-        counted = triple(_fit(D, r, totals, ""))
-        k0, k1, k2 = _fit(D, r, [n - count_boundary(P, t) for n, t in zip(totals, ts)], "interior counts: ")
+        counts = [count(t) for t in range(t0, t0 + 4 * D, D)]
+        counted = triple(_fit(D, r, [n for n, _ in counts], ""))
+        k0, k1, k2 = _fit(D, r, [n - b for n, b in counts], "interior counts: ")
         mirrored = triple((k0, -k1, k2))
         if -r % D == r and mirrored != counted:
             raise CountingConsistencyError(
@@ -195,13 +198,17 @@ def is_pseudointegral(P: RationalPolygon) -> PipCertificate:
     residue 0 and the first residue whose triple differs; when that
     residue was fitted from its mirror's interior counts, its four totals
     are counted as well and must give the same triple, so both named
-    residues are counted ones.  The recovered profile
-    b = 2*c1, i = c2 - c1 + 1 is cross-checked against a direct
-    boundary count at t = 1; the two routes can only disagree if
-    counting is broken.  The fit sampled the total at t = 1 (residue 1,
-    or residue 0 when D = 1) and its triple interpolates that sample, so
-    the total there is c0 + c1 + c2 = i + b (c0 = 1), and the interior
-    check follows from the boundary check.
+    residues are counted ones.
+
+    For a PIP the profile is b = 2*c1 and i = c2 - c1 + 1, and c0 must
+    be 1.  It needs no direct boundary count at t = 1: the fit of
+    residue 1 (residue 0 when D = 1) interpolates the total at t = 1,
+    and the mirror of that residue interpolates the interior count there,
+    total(1) - boundary(1).  With one triple for every residue, the
+    first gives c0 + c1 + c2 = total(1) and the second, at -1,
+    c0 - c1 + c2 = total(1) - boundary(1), so b = 2*c1 = boundary(1) and
+    i = total(1) - b hold by construction; a boundary count corrupted at
+    t = 1 fails the fourth-sample check of that interior fit instead.
     """
     qp = reconstruct_quasipolynomial(P)
     if not qp.is_polynomial:
@@ -210,7 +217,8 @@ def is_pseudointegral(P: RationalPolygon) -> PipCertificate:
         D = qp.period
         if witness > D // 2:
             # a mirrored witness: count its totals too, so both residues named are counted
-            key = _fit(D, witness, [count_total(P, t) for t in range(witness, witness + 4 * D, D)], "")
+            count = dilate_counter(P)
+            key = _fit(D, witness, [count(t)[0] for t in range(witness, witness + 4 * D, D)], "")
             if tuple([Fraction(c, 2 * D * D) for c in key]) != qp.coeffs[witness]:
                 raise CountingConsistencyError(
                     f"residue {witness}: totals disagree with the interior counts of residue {D - witness}"
@@ -221,14 +229,7 @@ def is_pseudointegral(P: RationalPolygon) -> PipCertificate:
     i = c2 - c1 + 1
     if c0 != 1 or b.denominator != 1 or i.denominator != 1:
         raise CountingConsistencyError(f"polynomial counts with impossible coefficients {qp.coeffs[0]}")
-    b, i = int(b), int(i)
-    boundary = count_boundary(P, 1)
-    if boundary != b:
-        raise CountingConsistencyError(
-            f"coefficient profile ({i}, {b}) disagrees with direct counts "
-            f"({i + b - boundary}, {boundary})"
-        )
-    return PipCertificate(True, qp.collapse(), interior=i, boundary=b)
+    return PipCertificate(True, qp.collapse(), interior=int(i), boundary=int(b))
 
 
 def check_reciprocity(P: RationalPolygon, t_max: int) -> bool:
@@ -244,4 +245,5 @@ def check_reciprocity(P: RationalPolygon, t_max: int) -> bool:
     if t_max < P.denominator:
         raise ValueError("t_max must be at least the polygon denominator")
     qp = reconstruct_quasipolynomial(P)
-    return all(count_interior(P, t) == qp.evaluate(-t) for t in range(1, t_max + 1))
+    count = dilate_counter(P)
+    return all(n - b == qp.evaluate(-t) for t in range(1, t_max + 1) for n, b in [count(t)])

@@ -12,8 +12,8 @@ Vertices are `Fraction`s, but the constructor checks the canonical form
 on the same homogeneous integers, and every edge fact comes from one
 integer table built from the vertices V = D * v of D * P,
 `RationalPolygon.edge_table`: primitive outer normals, offsets and
-lattice lengths, the floor-sum rows of `counting.count_total`, and one
-row per edge from which `counting.count_boundary` counts and
+lattice lengths, the floor-sum rows of `counting.dilate_counter`, and
+one row per edge from which that counter counts the boundary and
 `boundary_points` lists the lattice points on each half-open edge
 [A, B), so every boundary lattice point belongs to exactly one edge.
 """

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given
@@ -13,13 +15,15 @@ from pipgeom.constructions import (
 )
 from pipgeom.counting import (
     CountReport,
+    _steps,
     count_boundary,
     count_interior,
     count_report,
     count_total,
+    dilate_counter,
 )
 from pipgeom.exact import AffineMap, IntMat2, Vec2
-from pipgeom.polygon import DegenerateHullError, hull
+from pipgeom.polygon import DegenerateHullError, EdgeTable, hull
 from pipgeom.vieta import VietaSolution
 
 from conftest import (
@@ -216,3 +220,83 @@ def test_rejects_nonpositive_dilation():
         count_total(T111, 0)
     with pytest.raises(ValueError):
         count_boundary(T111, -1)
+
+
+def counter_floor_sum(n, m, a, b):
+    """Sum of floor((a*i + b) / m) over 0 <= i < n, as `dilate_counter` counts it.
+
+    The counter runs on one synthetic edge row (0, n, m, -a, b) at D = 1
+    and t = 1: the row spans the columns 0..n-1 (it does not end at
+    x_hi = n + 1), so the count is the n + 2 columns plus this floor sum.
+    """
+    table = EdgeTable(1, 0, n + 1, ((0, n, m, -a, b),), ())
+    total, boundary = dilate_counter(SimpleNamespace(edge_table=table))(1)
+    assert boundary == 0
+    return total - (n + 2)
+
+
+def test_step_chains_match_the_naive_floor_sum():
+    rng = random.Random(4400)
+    cases = [(300, 7, 7 * 13, -5), (300, 7, -7 * 13, 5), (300, 10, 10 * 4 + 5, 3), (300, 10, -10 * 4 - 5, -3)]
+    for _ in range(1500):
+        n, m = rng.randint(0, 300), rng.randint(1, 500)
+        a, b = rng.randint(-3 * m, 3 * m), rng.randint(-300 * m, 300 * m)
+        cases.append((n, m, a, b))
+        # a multiple of m, and a remainder of exactly half the modulus 2m
+        cases.append((n, m, m * rng.randint(-3, 3), b))
+        cases.append((n, 2 * m, 2 * m * rng.randint(-3, 3) + m, b))
+    halves = negatives = 0
+    for n, m, a, b in cases:
+        assert counter_floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n)), (n, m, a, b)
+        # Euclid steps with nearest-integer remainders: a = q*m + r, |r| <= m/2,
+        # and the next step divides m by |r|, until r = 0
+        steps, mk, ak = _steps(m, a), m, a
+        for step in steps:
+            _, q, r = step
+            assert step == (mk, q, ak - q * mk) and 2 * abs(r) <= mk
+            mk, ak = abs(r), mk
+        assert mk == 0
+        halves += any(2 * abs(r) == s for s, _, r in steps)
+        negatives += any(r < 0 for _, _, r in steps)
+    assert halves and negatives
+
+
+def test_dilate_counter_matches_oracles():
+    # vertices over one denominator q, so D divides q; D = q is met for each q = 1..12
+    rng = random.Random(4500)
+    denominators, vertical, horizontal = set(), 0, 0
+    for q in range(1, 13):
+        for _ in range(8):
+            coordinate = lambda: F(rng.randint(-2 * q, 2 * q), q)  # noqa: E731
+            pts = [Vec2(coordinate(), coordinate()) for _ in range(rng.randint(3, 6))]
+            try:
+                P = hull(pts)
+            except DegenerateHullError:
+                continue
+            count, D = dilate_counter(P), P.denominator
+            for t in range(1, 3 * D + 1):
+                assert count(t) == (_count_total_python(P, t), boundary_by_segments(P, t)), (P, t)
+            for t in (1, 2, D):
+                total, boundary, _ = brute_counts(P, t)
+                assert count(t) == (total, boundary), (P, t)
+            denominators.add(D)
+            vertical += any(ny == 0 for _, ny, _, _, _, _ in P.edge_table.edges)
+            horizontal += any(nx == 0 for nx, _, _, _, _, _ in P.edge_table.edges)
+    assert denominators == set(range(1, 13)) and vertical and horizontal
+
+
+def test_dilate_counter_on_sixty_digit_coordinates():
+    rng = random.Random(4600)
+    Q = [rng.randint(10**59, 10**60) for _ in range(5)]
+    shift = rng.randint(10**59, 10**60)
+    P = hull([Vec2(F(rng.randint(-2 * q, 2 * q), q) + shift, F(rng.randint(-2 * q, 2 * q), q)) for q in Q])
+    assert len(str(P.denominator)) > 100
+    # 60-digit slopes give long step chains, each step at least halving m
+    assert max(len(_steps(m, -a)) for _, _, m, a, _ in P.edge_table.columns) > 40
+    count = dilate_counter(P)
+    # wide dilates keep n above 1 deep enough in the chains for the reverse-order shift to matter
+    for t in (1, 2, 3, 97, 500):
+        assert count(t) == (_count_total_python(P, t), boundary_by_segments(P, t)) == (
+            count_total(P, t),
+            count_boundary(P, t),
+        )

@@ -31,6 +31,29 @@ UNIT_SQUARE = hull([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
 MIRRORED_WITNESS = hull([Vec2(F(-1, 3), 1), Vec2(1, 1), Vec2(1, 2)])
 
 
+def corrupt_counter(monkeypatch, total=lambda t: 0, boundary=lambda t: 0, calls=None):
+    """Make every counter the certificate builds add total(t) and boundary(t) to its counts.
+
+    When `calls` is a list, each counted dilate t is appended to it.
+    """
+    import pipgeom.ehrhart as ehrhart_mod
+
+    honest = ehrhart_mod.dilate_counter
+
+    def corrupted_counter(Q):
+        count = honest(Q)
+
+        def corrupted(t):
+            if calls is not None:
+                calls.append(t)
+            n, b = count(t)
+            return n + total(t), b + boundary(t)
+
+        return corrupted
+
+    monkeypatch.setattr(ehrhart_mod, "dilate_counter", corrupted_counter)
+
+
 def reciprocity_holds(P, t_max):
     """check_reciprocity, and the interior counts against the Fraction oracle at -t."""
     oracle = QuasiPolynomial(P.denominator, fraction_fit_coeffs(P))
@@ -141,16 +164,9 @@ def test_quasipolynomial_evaluate_uses_residue_classes():
 
 
 def test_validation_sample_catches_corrupted_counts(monkeypatch):
-    import pipgeom.ehrhart as ehrhart_mod
-    from pipgeom.counting import count_total as real_count
-
-    def corrupted(P, t=1):
-        value = real_count(P, t)
-        return value + 1 if t == 4 else value  # poison only the 4th sample
-
-    monkeypatch.setattr(ehrhart_mod, "count_total", corrupted)
+    corrupt_counter(monkeypatch, total=lambda t: t == 4)  # poison only the 4th sample
     with pytest.raises(CountingConsistencyError):
-        ehrhart_mod.reconstruct_quasipolynomial(UNIT_SQUARE)
+        reconstruct_quasipolynomial(UNIT_SQUARE)
 
 
 def test_certificate_json_shapes():
@@ -206,20 +222,13 @@ def test_pip_residues_share_one_triple():
 
 @pytest.mark.parametrize("sample", [0, 3])
 def test_poisoned_sample_names_its_residue(monkeypatch, sample):
-    import pipgeom.ehrhart as ehrhart_mod
-    from pipgeom.counting import count_total as real_count
-
     P = fourgon_distance_two()
     D, r = P.denominator, 1
     poisoned_t = r + sample * D
 
-    def corrupted(Q, t=1):
-        value = real_count(Q, t)
-        return value - 1 if t == poisoned_t else value
-
-    monkeypatch.setattr(ehrhart_mod, "count_total", corrupted)
+    corrupt_counter(monkeypatch, total=lambda t: -(t == poisoned_t))
     with pytest.raises(CountingConsistencyError, match=rf"^residue {r}: .* at t={r + 3 * D},"):
-        ehrhart_mod.reconstruct_quasipolynomial(P)
+        reconstruct_quasipolynomial(P)
 
 
 @pytest.mark.parametrize(
@@ -232,26 +241,9 @@ def test_poisoned_sample_names_its_residue(monkeypatch, sample):
     ids=["unit-square", "fibonacci-1", "fibonacci-2"],
 )
 def test_boundary_cross_check_catches_corrupted_boundary(monkeypatch, P, message):
-    import pipgeom.ehrhart as ehrhart_mod
-
-    monkeypatch.setattr(ehrhart_mod, "count_boundary", lambda Q, t=1: count_boundary(Q, t) + 1)
+    corrupt_counter(monkeypatch, boundary=lambda t: 1)
     with pytest.raises(CountingConsistencyError, match=message):
         is_pseudointegral(P)
-
-
-def _record_count_total(monkeypatch) -> list[int]:
-    import pipgeom.counting as counting_mod
-    import pipgeom.ehrhart as ehrhart_mod
-
-    calls = []
-
-    def counted(Q, t=1):
-        calls.append(t)
-        return count_total(Q, t)
-
-    monkeypatch.setattr(ehrhart_mod, "count_total", counted)
-    monkeypatch.setattr(counting_mod, "count_total", counted)
-    return calls
 
 
 @pytest.mark.parametrize(
@@ -260,7 +252,8 @@ def _record_count_total(monkeypatch) -> list[int]:
     ids=["unit-square", "fibonacci-2", "octagon", "fourgon"],
 )
 def test_certificate_counts_four_totals_per_counted_residue(monkeypatch, P, witness):
-    calls = _record_count_total(monkeypatch)
+    calls = []
+    corrupt_counter(monkeypatch, calls=calls)
     cert = is_pseudointegral(P)
     D = P.denominator
     mirrored = witness is not None and witness > D // 2
@@ -269,7 +262,8 @@ def test_certificate_counts_four_totals_per_counted_residue(monkeypatch, P, witn
 
 
 def test_mirrored_witness_is_counted(monkeypatch):
-    calls = _record_count_total(monkeypatch)
+    calls = []
+    corrupt_counter(monkeypatch, calls=calls)
     cert = is_pseudointegral(MIRRORED_WITNESS)
     assert cert.ehrhart.coeffs == (
         (F(1), F(4, 3), F(2, 3)),
@@ -282,10 +276,8 @@ def test_mirrored_witness_is_counted(monkeypatch):
 
 
 def test_mirrored_witness_disagreeing_with_its_totals_is_refused(monkeypatch):
-    import pipgeom.ehrhart as ehrhart_mod
-
     # a constant shift on residue 2 keeps every fourth-sample check quiet
-    monkeypatch.setattr(ehrhart_mod, "count_total", lambda Q, t=1: count_total(Q, t) + (t % 3 == 2))
+    corrupt_counter(monkeypatch, total=lambda t: t % 3 == 2)
     with pytest.raises(CountingConsistencyError, match=r"^residue 2: totals disagree"):
         is_pseudointegral(MIRRORED_WITNESS)
 
@@ -314,20 +306,16 @@ def test_reciprocity_fit_matches_fraction_oracle(q):
 
 
 def test_corrupted_boundary_at_one_dilate_is_caught(monkeypatch):
-    import pipgeom.ehrhart as ehrhart_mod
-
-    monkeypatch.setattr(ehrhart_mod, "count_boundary", lambda Q, t=1: count_boundary(Q, t) + (t == 1))
+    corrupt_counter(monkeypatch, boundary=lambda t: t == 1)
     with pytest.raises(CountingConsistencyError, match=r"^residue 1: interior counts: quadratic predicts"):
         is_pseudointegral(fibonacci_triangle(2))
 
 
 def test_half_period_residue_is_self_paired(monkeypatch):
-    import pipgeom.ehrhart as ehrhart_mod
-
     P = fibonacci_triangle(2)
     D = P.denominator
     assert D == 10
     # a constant shift on residue D/2 passes its fourth-sample checks
-    monkeypatch.setattr(ehrhart_mod, "count_boundary", lambda Q, t=1: count_boundary(Q, t) + (t % D == D // 2))
+    corrupt_counter(monkeypatch, boundary=lambda t: t % D == D // 2)
     with pytest.raises(CountingConsistencyError, match=r"^residue 5: interior counts give \(0, 9/2, 9/2\)"):
         reconstruct_quasipolynomial(P)
