@@ -15,7 +15,7 @@ from .ehrhart import (
     is_pseudointegral,
     reconstruct_quasipolynomial,
 )
-from .exact import AffineMap, IntMat2, Vec2, det2, primitive
+from .exact import AffineMap, IntMat2, Vec2
 from .polygon import RationalPolygon, hull, triangle_invariant
 from .vieta import (
     FamilyState,
@@ -45,7 +45,6 @@ __all__ = [
     "count_interior",
     "count_report",
     "count_total",
-    "det2",
     "dilate_counter",
     "enumerate_reduced",
     "family",
@@ -54,7 +53,6 @@ __all__ = [
     "is_solution",
     "is_vieta_reduced",
     "jump_forest",
-    "primitive",
     "reconstruct_quasipolynomial",
     "triangle_invariant",
     "verify_general_bound",

@@ -71,16 +71,24 @@ VIETA_MAX_Z_LIMIT = 10**100
 # (b*x = 9) multiply z by about 6.85 per step, so at depth 1000 no entry
 # passes 840 digits, well inside CPython's 4,300-digit int-to-str limit;
 # all 13 reduced seeds print at the limit, about 10 MB of JSON in total.
+# `verify --suite family-grid --depth` has the same limit: at depth 1000 it
+# builds 13,013 triangles and takes about 40-44 s and 47 MB peak RSS, nearly
+# all of it certifying the 117 within CERTIFY_WORK_LIMIT (2-vCPU VM, Python 3.11).
 VIETA_DEPTH_LIMIT = 1000
 
-# The numeric flags each suite reads, each mapped to its least value; any
-# other numeric flag is refused.  A suite takes each flag as the keyword of
+# Largest `verify --suite properties --count`.  Each instance costs about
+# 1.3 ms: the limit runs in about 1.3-1.5 s at 17 MB peak RSS (2-vCPU VM, Python 3.11).
+PROPERTIES_COUNT_LIMIT = 1000
+
+# The numeric flags each suite reads, each mapped to its least value and its
+# (name, most value) limit, None where VERIFY_SEARCH_LIMIT bounds the search;
+# any other numeric flag is refused.  A suite takes each flag as the keyword of
 # the same name, except nvar-bound, which folds --n and --bound into one case.
 _SUITE_FLAGS = {
-    "b-sweep": {"bound": 1},
-    "nvar-bound": {"n": 2, "bound": 1},
-    "family-grid": {"depth": 0},
-    "properties": {"count": 1},
+    "b-sweep": {"bound": (1, None)},
+    "nvar-bound": {"n": (2, None), "bound": (1, None)},
+    "family-grid": {"depth": (0, ("VIETA_DEPTH_LIMIT", VIETA_DEPTH_LIMIT))},
+    "properties": {"count": (1, ("PROPERTIES_COUNT_LIMIT", PROPERTIES_COUNT_LIMIT))},
 }
 
 
@@ -103,7 +111,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     work = certify_work(P)
     if work > CERTIFY_WORK_LIMIT and P.denominator < _COORDINATE_BOUND:
         raise UsageError(
-            f"denominator {P.denominator} times {len(P.vertices)} edges is {work}, "
+            f"denominator {P.denominator} times {len(P.homogeneous)} edges is {work}, "
             f"over CERTIFY_WORK_LIMIT = {CERTIFY_WORK_LIMIT}"
         )
     if P.denominator >= _COORDINATE_BOUND or any(
@@ -217,8 +225,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for name, value in given.items():
         if name not in read:
             raise UsageError(f"suite {args.suite} does not read --{name}")
-        if value < read[name]:
-            raise UsageError(f"--{name} must be at least {read[name]}, got {value}")
+        least, limit = read[name]
+        if value < least:
+            raise UsageError(f"--{name} must be at least {least}, got {value}")
+        if limit is not None and value > limit[1]:
+            raise UsageError(f"--{name} must be at most {limit[0]} = {limit[1]}, got {value}")
     if args.suite == "nvar-bound" and args.bound is not None and args.n is None:
         raise UsageError("suite nvar-bound reads --bound only together with --n")
     kwargs = {} if args.suite == "nvar-bound" else given

@@ -49,7 +49,7 @@ CERTIFY_WORK_LIMIT = 5 * 10**5
 
 def certify_work(P: RationalPolygon) -> int:
     """Cost of certifying P as D * edges, the measure `CERTIFY_WORK_LIMIT` bounds."""
-    return P.denominator * len(P.vertices)
+    return P.denominator * len(P.homogeneous)
 
 
 class CountingConsistencyError(RuntimeError):

@@ -1,4 +1,4 @@
-"""Exact scalars and tiny 2x2 integer linear algebra.
+"""Exact scalars: the rational text format, points and integer affine maps.
 
 Everything downstream runs on Python ints and fractions.Fraction:
 arbitrary precision, eagerly normalized to lowest terms with positive
@@ -9,7 +9,6 @@ and any rounding would invalidate them.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,46 +62,16 @@ class Vec2:
     y: Fraction
 
     def __init__(self, x: Scalar, y: Scalar) -> None:
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
-
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __rmul__(self, k: Scalar) -> "Vec2":
-        return Vec2(k * self.x, k * self.y)
+        # a Fraction is kept as it is: it is already in lowest terms
+        object.__setattr__(self, "x", x if type(x) is Fraction else Fraction(x))
+        object.__setattr__(self, "y", y if type(y) is Fraction else Fraction(y))
 
     @property
     def is_integral(self) -> bool:
         return self.x.denominator == 1 and self.y.denominator == 1
 
-    def as_ints(self) -> tuple[int, int]:
-        if not self.is_integral:
-            raise ValueError(f"not an integer vector: {self}")
-        return int(self.x), int(self.y)
-
     def __str__(self) -> str:
         return f"({format_rational(self.x)}, {format_rational(self.y)})"
-
-
-def det2(u: Vec2, v: Vec2) -> Fraction:
-    """Determinant of the 2x2 matrix with columns u, v."""
-    return u.x * v.y - u.y * v.x
-
-
-def primitive(v: Vec2) -> Vec2:
-    """Divide a nonzero integer vector by the gcd of its components.
-
-    The result is the primitive lattice vector with the same direction.
-    """
-    ix, iy = v.as_ints()
-    if ix == 0 and iy == 0:
-        raise ValueError("zero vector has no primitive direction")
-    g = math.gcd(abs(ix), abs(iy))
-    return Vec2(ix // g, iy // g)
 
 
 @dataclass(frozen=True)
@@ -121,9 +90,6 @@ class IntMat2:
     def is_unimodular(self) -> bool:
         return abs(self.det()) == 1
 
-    def apply(self, v: Vec2) -> Vec2:
-        return Vec2(self.a * v.x + self.b * v.y, self.c * v.x + self.d * v.y)
-
     def __matmul__(self, other: "IntMat2") -> "IntMat2":
         return IntMat2(
             self.a * other.a + self.b * other.c,
@@ -131,13 +97,6 @@ class IntMat2:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def inverse(self) -> "IntMat2":
-        """Exact inverse; requires |det| = 1 so the inverse is integral."""
-        det = self.det()
-        if abs(det) != 1:
-            raise ValueError(f"matrix with det {det} has no integer inverse")
-        return IntMat2(self.d * det, -self.b * det, -self.c * det, self.a * det)
 
     @classmethod
     def identity(cls) -> "IntMat2":
@@ -158,10 +117,3 @@ class AffineMap:
     def __post_init__(self) -> None:
         if not self.translate.is_integral:
             raise ValueError("translation part must be integral")
-
-    def apply(self, v: Vec2) -> Vec2:
-        return self.linear.apply(v) + self.translate
-
-    @classmethod
-    def identity(cls) -> "AffineMap":
-        return cls(IntMat2.identity(), Vec2(0, 0))

@@ -1,16 +1,17 @@
 """Convex rational polygons: hull, facets, duals, invariants.
 
-Polygons are stored in a canonical form (counterclockwise, starting at
-the lexicographically least vertex) so that equality is structural and
+A polygon stores each vertex once, as reduced homogeneous integers
+(X, Y, d), in a canonical order (counterclockwise, starting at the
+lexicographically least vertex), so that equality is structural and
 fixtures are stable.  Construction goes through :func:`hull`, a
-monotone-chain hull whose comparisons and orientation tests run on the
-homogeneous integer coordinates (X, Y, d) of each point; collinear and
-interior points are absorbed.  `RationalPolygon.from_facets` builds a
-polygon from its facet data instead: primitive normals and offsets.
+monotone-chain hull whose comparisons and orientation tests run on those
+triples; collinear and interior points are absorbed.
+`RationalPolygon.from_facets` builds a polygon from its facet data
+instead: primitive normals and offsets.
 
-Vertices are `Fraction`s, but the constructor checks the canonical form
-on the same homogeneous integers, and every edge fact comes from one
-integer table built from the vertices V = D * v of D * P,
+The denominator D, the area and the `Fraction` view `vertices` are
+derived from the triples, and every edge fact from one integer table
+built from the vertices V = D * v of D * P,
 `RationalPolygon.edge_table`: primitive outer normals, offsets and
 lattice lengths, the floor-sum rows of `counting.dilate_counter`, and
 one row per edge from which that counter counts the boundary and
@@ -36,15 +37,10 @@ class NotConvexOrderError(ValueError):
     """Raised when normals are not in strictly convex counterclockwise order."""
 
 
-def _scaled(v: Vec2, k: int) -> tuple[int, int]:
-    """Integer coordinates of k * v, for k a multiple of both denominators of v."""
-    return v.x.numerator * (k // v.x.denominator), v.y.numerator * (k // v.y.denominator)
-
-
-def _homogeneous(v: Vec2) -> tuple[int, int, int]:
-    """v as integers (X, Y, d) with v = (X/d, Y/d) and d > 0 the lcm of its denominators."""
-    d = math.lcm(v.x.denominator, v.y.denominator)
-    return (*_scaled(v, d), d)
+def _homogeneous(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """(x, y) as reduced integers (X, Y, d) with x = X/d, y = Y/d and d > 0 the lcm of their denominators."""
+    d = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
 
 
 def _dual_step(sx: int, sy: int) -> tuple[int, int]:
@@ -78,20 +74,22 @@ class EdgeTable(NamedTuple):
 class RationalPolygon:
     """Convex polygon with rational vertices in canonical order.
 
-    Vertices must be at least 3, strictly convex (no three consecutive
-    collinear), counterclockwise, wind once around, and start at the
-    lexicographically least vertex.  Use :func:`hull` to build one from
-    arbitrary points.
+    `homogeneous` holds each vertex v = (X/d, Y/d) as reduced integers
+    (X, Y, d): d > 0 and gcd(X, Y, d) = 1.  Vertices must be at least 3,
+    strictly convex (no three consecutive collinear), counterclockwise,
+    wind once around, and start at the lexicographically least vertex.
+    Use :func:`hull` to build one from arbitrary points.
     """
 
-    __slots__ = ("vertices", "__dict__")
+    __slots__ = ("homogeneous", "__dict__")
 
-    def __init__(self, vertices: Sequence[Vec2]) -> None:
-        vs = tuple(vertices)
-        if len(vs) < 3:
-            raise DegenerateHullError(f"need at least 3 vertices, got {len(vs)}")
+    def __init__(self, vertices: Sequence[tuple[int, int, int]]) -> None:
+        H = tuple(vertices)
+        if len(H) < 3:
+            raise DegenerateHullError(f"need at least 3 vertices, got {len(H)}")
+        if any(d <= 0 or math.gcd(X, Y, d) != 1 for X, Y, d in H):
+            raise ValueError("each vertex must be integers (X, Y, d) with d > 0 and gcd(X, Y, d) = 1")
         # each test runs on the homogeneous coordinates of its own points
-        H = [_homogeneous(v) for v in vs]
         nxt = H[1:] + H[:1]
         for o, a, p in zip(H, nxt, H[2:] + H[:2]):
             if _turn(o, a, p) <= 0:
@@ -104,7 +102,7 @@ class RationalPolygon:
             raise ValueError("vertices wind more than once around")
         if any(_lex_cmp(h, H[0]) < 0 for h in H):
             raise ValueError("canonical form starts at the lexicographically least vertex")
-        self.vertices = vs
+        self.homogeneous = H
 
     @classmethod
     def from_facets(cls, normals: Sequence[tuple[int, int]], offsets: Sequence[Scalar]) -> "RationalPolygon":
@@ -133,39 +131,42 @@ class RationalPolygon:
         vertices = []
         for k in range(n):
             (nx, ny), (mx, my), c, cm = ns[k], ns[(k + 1) % n], C[k], C[(k + 1) % n]
-            d = L * (nx * my - ny * mx)
-            vertices.append(Vec2(Fraction(c * my - cm * ny, d), Fraction(cm * nx - c * mx, d)))
-        return hull(vertices)
+            X, Y, d = c * my - cm * ny, cm * nx - c * mx, L * (nx * my - ny * mx)
+            g = math.gcd(X, Y, d)
+            vertices.append((X // g, Y // g, d // g))
+        return _hull(vertices)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalPolygon) and self.vertices == other.vertices
+        return isinstance(other, RationalPolygon) and self.homogeneous == other.homogeneous
 
     def __hash__(self) -> int:
-        return hash(self.vertices)
+        return hash(self.homogeneous)
 
     def __repr__(self) -> str:
         pts = ", ".join(str(v) for v in self.vertices)
         return f"RationalPolygon[{pts}]"
 
     @cached_property
+    def vertices(self) -> tuple[Vec2, ...]:
+        """The vertices as `Vec2` points, in canonical order."""
+        return tuple([Vec2(Fraction(X, d), Fraction(Y, d)) for X, Y, d in self.homogeneous])
+
+    @cached_property
     def area(self) -> Fraction:
-        """Exact shoelace area (positive: vertices are counterclockwise)."""
-        total = Fraction(0)
-        vs = self.vertices
-        for i in range(len(vs)):
-            j = (i + 1) % len(vs)
-            total += vs[i].x * vs[j].y - vs[j].x * vs[i].y
-        return total / 2
+        """Exact shoelace area: the integer shoelace sum on V = D * v over 2 * D^2."""
+        V, D = self.scaled_vertices, self.denominator
+        return Fraction(sum(ax * by - bx * ay for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1])), 2 * D * D)
 
     @cached_property
     def denominator(self) -> int:
         """Least positive D such that D * P has integer vertices."""
-        return math.lcm(*[c.denominator for v in self.vertices for c in (v.x, v.y)])
+        return math.lcm(*[d for _, _, d in self.homogeneous])
 
     @cached_property
     def scaled_vertices(self) -> tuple[tuple[int, int], ...]:
         """The integer vertices V = D * v of D * P, for the denominator D."""
-        return tuple([_scaled(v, self.denominator) for v in self.vertices])
+        D = self.denominator
+        return tuple([(X * (D // d), Y * (D // d)) for X, Y, d in self.homogeneous])
 
     @cached_property
     def edge_table(self) -> EdgeTable:
@@ -232,9 +233,6 @@ class RationalPolygon:
         ys = [v.y for v in self.vertices]
         return min(xs), max(xs), min(ys), max(ys)
 
-    def translate(self, t: Vec2) -> "RationalPolygon":
-        return hull([v + t for v in self.vertices])
-
     def dual(self) -> "RationalPolygon":
         """Dual polygon conv{ n * den / num } over the rows of `edge_table`.
 
@@ -244,13 +242,17 @@ class RationalPolygon:
         rows = self.edge_table.edges
         if any(num <= 0 for _, _, num, _, _, _ in rows):
             raise ValueError("dual requires the origin strictly inside the polygon")
-        return hull([Vec2(Fraction(nx * den, num), Fraction(ny * den, num)) for nx, ny, num, den, _, _ in rows])
+        # gcd(n_x, n_y) = gcd(num, den) = 1, so each (n * den, num) is reduced
+        return _hull([(nx * den, ny * den, num) for nx, ny, num, den, _, _ in rows])
 
     def apply_map(self, m: AffineMap) -> "RationalPolygon":
         """Image under an affine map with unimodular linear part."""
-        if not m.linear.is_unimodular:
-            raise ValueError(f"linear part must be unimodular, det = {m.linear.det()}")
-        return hull([m.apply(v) for v in self.vertices])
+        L, tx, ty = m.linear, m.translate.x.numerator, m.translate.y.numerator
+        if not L.is_unimodular:
+            raise ValueError(f"linear part must be unimodular, det = {L.det()}")
+        # a unimodular map keeps gcd(X, Y), so the image of a reduced (X, Y, d) is reduced
+        H = self.homogeneous
+        return _hull([(L.a * X + L.b * Y + tx * d, L.c * X + L.d * Y + ty * d, d) for X, Y, d in H])
 
     def to_json_dict(self) -> dict:
         return {
@@ -269,7 +271,7 @@ class RationalPolygon:
             isinstance(v, (list, tuple)) and len(v) == 2 for v in vertices
         ):
             raise ValueError('"vertices" must be a list of [x, y] pairs')
-        return hull([Vec2(parse_rational(x), parse_rational(y)) for x, y in vertices])
+        return _hull([_homogeneous(parse_rational(x), parse_rational(y)) for x, y in vertices])
 
 
 def hull(points: Iterable[Vec2 | tuple[Scalar, Scalar]]) -> RationalPolygon:
@@ -281,12 +283,14 @@ def hull(points: Iterable[Vec2 | tuple[Scalar, Scalar]]) -> RationalPolygon:
     edges are absorbed.  Raises :class:`DegenerateHullError` when the
     points do not span dimension 2.
     """
-    # (X, Y, d) is unique per point, so it also serves to drop duplicates
-    homog: dict[tuple[int, int, int], Vec2] = {}
-    for p in points:
-        v = p if isinstance(p, Vec2) else Vec2(*p)
-        homog[_homogeneous(v)] = v
-    pts = sorted(homog, key=cmp_to_key(_lex_cmp))
+    vs = [p if isinstance(p, Vec2) else Vec2(*p) for p in points]
+    return _hull([_homogeneous(v.x, v.y) for v in vs])
+
+
+def _hull(points: Iterable[tuple[int, int, int]]) -> RationalPolygon:
+    """:func:`hull` of points given as reduced integers (X, Y, d) with d > 0."""
+    # (X, Y, d) is unique per point, so a set drops duplicates
+    pts = sorted(set(points), key=cmp_to_key(_lex_cmp))
     if len(pts) < 3:
         raise DegenerateHullError("hull needs at least 3 distinct points")
     lower = _chain(pts)
@@ -294,7 +298,7 @@ def hull(points: Iterable[Vec2 | tuple[Scalar, Scalar]]) -> RationalPolygon:
     vs = lower[:-1] + upper[:-1]
     if len(vs) < 3:
         raise DegenerateHullError("points are collinear")
-    return RationalPolygon([homog[h] for h in vs])
+    return RationalPolygon(vs)
 
 
 def _lex_cmp(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:

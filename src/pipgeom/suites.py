@@ -162,7 +162,10 @@ def suite_fibonacci(depth: int = 5) -> SuiteResult:
                 cert.is_pip and (cert.interior, cert.boundary) == (1, 9),
                 f"denominator {T.denominator}",
             )
-            same = T == constructions.t_xyz(fam[j].solution())
+            # the solution triangle worked out by hand from Fibonacci ratios
+            fm, fp = constructions.fibonacci(2 * j - 1), constructions.fibonacci(2 * j + 1)
+            r = Fraction(3 * fm, fp)
+            same = T == hull([(-r, r - 1), (0, -1), (Fraction(3 * fp, fm), -1)])
             res.add(f"triangle j={j} equals the solution-triangle form", same)
     res.add(
         f"denominators strictly increase over j = 1..{depth + 1}",

@@ -25,7 +25,10 @@ counts the boundary of t*P with it over the pairs of consecutive
 vertices, `fraction_hull` is the monotone chain with `Fraction`
 orientation tests, `fraction_edges` takes each edge's primitive normal
 and offset from `Fraction` differences, and `fraction_lattice_length`
-each edge's lattice length.
+each edge's lattice length.  They work on `Vec2` points with the
+helpers `sub`, `scale` and `primitive` below, which the package does
+not keep: its polygons hold integer vertices.  `polygon_of` and
+`translated` build polygons from `Vec2` vertices.
 
 The random generators are the `properties` suite's own, so a seeded test
 sees the same instance stream as the suite; `random_triangle` differs
@@ -39,15 +42,51 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import Sequence
 
 import pytest
 
 from pipgeom.counting import count_total
-from pipgeom.exact import Vec2, primitive
+from pipgeom.exact import Vec2
 from pipgeom.polygon import DegenerateHullError, RationalPolygon, hull
 from pipgeom.suites import _random_polygon as random_polygon
 from pipgeom.suites import _random_unimodular as random_unimodular
 from pipgeom.vieta import NTuple, _square_divisors, is_solution
+
+
+def sub(b: Vec2, a: Vec2) -> Vec2:
+    """The vector b - a."""
+    return Vec2(b.x - a.x, b.y - a.y)
+
+
+def scale(k: int | Fraction, v: Vec2) -> Vec2:
+    """The vector k * v."""
+    return Vec2(k * v.x, k * v.y)
+
+
+def primitive(x: int, y: int) -> tuple[int, int]:
+    """The nonzero integer vector (x, y) divided by the gcd of its entries.
+
+    The result is the primitive lattice vector with the same direction.
+    """
+    if x == 0 and y == 0:
+        raise ValueError("zero vector has no primitive direction")
+    g = math.gcd(x, y)
+    return x // g, y // g
+
+
+def polygon_of(vertices: Sequence[Vec2]) -> RationalPolygon:
+    """The polygon of `Vec2` vertices in canonical order, as its constructor checks them."""
+    out = []
+    for v in vertices:
+        d = math.lcm(v.x.denominator, v.y.denominator)
+        out.append((int(v.x * d), int(v.y * d), d))
+    return RationalPolygon(out)
+
+
+def translated(P: RationalPolygon, shift: Vec2) -> RationalPolygon:
+    """P moved by the vector shift."""
+    return hull([Vec2(v.x + shift.x, v.y + shift.y) for v in P.vertices])
 
 
 def brute_counts(P: RationalPolygon, t: int = 1) -> tuple[int, int, int]:
@@ -75,7 +114,7 @@ def _count_total_python(P: RationalPolygon, t: int) -> int:
     """
     uppers, lowers = [], []
     for normal, offset in fraction_edges(P):
-        nx, ny = normal.as_ints()
+        nx, ny = int(normal.x), int(normal.y)
         num, den = offset.numerator, offset.denominator
         a, b, c = den * nx, den * ny, num
         if b > 0:
@@ -137,9 +176,9 @@ def lattice_progression(a: Vec2, b: Vec2) -> tuple[tuple[int, int], tuple[int, i
     """
     if a == b:
         raise ValueError("segment endpoints must differ")
-    w = b - a
+    w = sub(b, a)
     m = math.lcm(w.x.denominator, w.y.denominator)
-    dx, dy = primitive(Vec2(w.x * m, w.y * m)).as_ints()
+    dx, dy = primitive(int(w.x * m), int(w.y * m))
     c = dy * a.x - dx * a.y
     if c.denominator != 1:
         return (0, 0), (dx, dy), 0
@@ -162,7 +201,7 @@ def segment_lattice_points(a: Vec2, b: Vec2) -> int:
 
 def fraction_lattice_length(a: Vec2, b: Vec2) -> Fraction:
     """Lattice length of the segment [a, b]: |b-a| over its primitive direction."""
-    w = b - a
+    w = sub(b, a)
     if w.x == 0 and w.y == 0:
         return Fraction(0)
     m = math.lcm(w.x.denominator, w.y.denominator)
@@ -173,8 +212,8 @@ def fraction_lattice_length(a: Vec2, b: Vec2) -> Fraction:
 def boundary_by_segments(P: RationalPolygon, t: int) -> int:
     """Boundary lattice points of t*P: closed edges, less each lattice vertex once."""
     vs = P.vertices
-    total = sum(segment_lattice_points(t * a, t * b) for a, b in zip(vs, vs[1:] + vs[:1]))
-    return total - sum(1 for v in P.vertices if (t * v).is_integral)
+    total = sum(segment_lattice_points(scale(t, a), scale(t, b)) for a, b in zip(vs, vs[1:] + vs[:1]))
+    return total - sum(1 for v in P.vertices if scale(t, v).is_integral)
 
 
 def fraction_hull(points) -> RationalPolygon:
@@ -197,7 +236,7 @@ def fraction_hull(points) -> RationalPolygon:
     vs = chains[0] + chains[1]
     if len(vs) < 3:
         raise DegenerateHullError("points are collinear")
-    return RationalPolygon(vs)
+    return polygon_of(vs)
 
 
 def fraction_edges(P: RationalPolygon) -> list[tuple[Vec2, Fraction]]:
@@ -205,10 +244,10 @@ def fraction_edges(P: RationalPolygon) -> list[tuple[Vec2, Fraction]]:
     out = []
     vs = P.vertices
     for a, b in zip(vs, vs[1:] + vs[:1]):
-        d = b - a
+        d = sub(b, a)
         m = math.lcm(d.x.denominator, d.y.denominator)
-        step = primitive(Vec2(d.x * m, d.y * m))
-        normal = Vec2(step.y, -step.x)
+        sx, sy = primitive(int(d.x * m), int(d.y * m))
+        normal = Vec2(sy, -sx)
         out.append((normal, normal.x * a.x + normal.y * a.y))
     return out
 

@@ -16,6 +16,7 @@ from pipgeom.cli import (
     CERTIFY_WORK_LIMIT,
     CONSTRUCT_PARAMETER_DIGITS,
     FIBONACCI_INDEX_LIMIT,
+    PROPERTIES_COUNT_LIMIT,
     VERIFY_SEARCH_LIMIT,
     VIETA_DEPTH_LIMIT,
     VIETA_MAX_Z_LIMIT,
@@ -24,7 +25,7 @@ from pipgeom.cli import (
 from pipgeom.constructions import _PIP_RANGES, FAMILIES, fibonacci_triangle, octagon_empty_boundary
 from pipgeom.exact import Vec2
 from pipgeom.polygon import RationalPolygon, hull
-from pipgeom.suites import SUITES
+from pipgeom.suites import SUITES, SuiteResult
 from pipgeom.svg import SVG_GRID_POINT_LIMIT
 from pipgeom.vieta import all_reduced_solutions, family
 
@@ -405,6 +406,39 @@ def test_verify_refuses_flags_the_suite_does_not_read(argv, flag, capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+SUITE_FLAG_LIMITS = [
+    ("family-grid", "--depth", "VIETA_DEPTH_LIMIT", VIETA_DEPTH_LIMIT),
+    ("properties", "--count", "PROPERTIES_COUNT_LIMIT", PROPERTIES_COUNT_LIMIT),
+]
+
+
+@pytest.mark.parametrize("suite, flag, name, limit", SUITE_FLAG_LIMITS)
+def test_verify_refuses_suite_flags_over_their_limit(suite, flag, name, limit, capsys, monkeypatch):
+    def suite_started(*args, **kwargs):
+        raise AssertionError("the suite started")
+
+    monkeypatch.setattr("pipgeom.cli.SUITES", dict.fromkeys(SUITES, suite_started))
+    for value in (limit + 1, 10**4000):
+        assert main(["verify", "--suite", suite, flag, str(value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"must be at most {name} = {limit}" in captured.err
+
+
+@pytest.mark.parametrize("suite, flag, name, limit", SUITE_FLAG_LIMITS)
+def test_verify_suite_flags_at_their_limit_run(suite, flag, name, limit, capsys, monkeypatch):
+    calls = []
+
+    def suite_stub(**kwargs):
+        calls.append(kwargs)
+        return SuiteResult(suite)
+
+    monkeypatch.setattr("pipgeom.cli.SUITES", dict.fromkeys(SUITES, suite_stub))
+    assert main(["verify", "--suite", suite, flag, str(limit)]) == 0
+    assert calls == [{flag[2:]: limit}]
+    assert capsys.readouterr().out == f"suite {suite}: pass\n"
 
 
 def test_verify_has_no_max_width_flag(capsys):

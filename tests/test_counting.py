@@ -35,6 +35,7 @@ from conftest import (
     lattice_progression,
     random_polygon,
     segment_lattice_points,
+    translated,
 )
 
 UNIT_SQUARE = hull([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
@@ -93,7 +94,7 @@ def test_count_total_beyond_int64(rng):
     # Ehrhart polynomial of an integral polygon: area*t^2 + (B/2)*t + 1
     shift = Vec2(2**70 + 3, -(2**70) - 5)
     for _ in range(10):
-        P = random_polygon(rng, max_den=1).translate(shift)
+        P = translated(random_polygon(rng, max_den=1), shift)
         vs = P.vertices
         B = sum(fraction_lattice_length(a, b) for a, b in zip(vs, vs[1:] + vs[:1]))
         for t in (1, 7, 999, 10**6):
@@ -123,7 +124,7 @@ def test_count_boundary_matches_segment_route_at_every_t(rng):
 def test_count_boundary_beyond_int64(rng):
     shift = Vec2(2**70 + 3, -(2**70) - 5)
     for _ in range(10):
-        P = random_polygon(rng, max_den=1).translate(shift)
+        P = translated(random_polygon(rng, max_den=1), shift)
         vs = P.vertices
         B = sum(fraction_lattice_length(a, b) for a, b in zip(vs, vs[1:] + vs[:1]))
         for t in (1, 7, 999, 10**6):
@@ -131,7 +132,7 @@ def test_count_boundary_beyond_int64(rng):
     # an integer shift moves t*P by the lattice vector t*shift
     for _ in range(10):
         P = random_polygon(rng, max_den=5)
-        Q = P.translate(shift)
+        Q = translated(P, shift)
         for t in range(1, 2 * P.denominator + 1):
             assert count_boundary(Q, t) == count_boundary(P, t) == boundary_by_segments(Q, t)
 

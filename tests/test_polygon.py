@@ -30,9 +30,12 @@ from conftest import (
     fraction_edges,
     fraction_hull,
     fraction_lattice_length,
+    polygon_of,
     random_polygon,
     random_triangle,
     random_unimodular,
+    scale,
+    sub,
 )
 
 UNIT_SQUARE = hull([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
@@ -90,7 +93,7 @@ def _messy_points(rng: random.Random) -> list[Vec2]:
     pts = [Vec2(q(9), q(9)) for _ in range(rng.randint(0, 6))]
     if pts and rng.random() < 0.6:
         a, step = rng.choice(pts), Vec2(q(3), q(3))
-        pts += [a + k * step for k in range(1, rng.randint(2, 6))]
+        pts += [Vec2(a.x + k * step.x, a.y + k * step.y) for k in range(1, rng.randint(2, 6))]
     pts += rng.choices(pts, k=min(len(pts), 3))
     rng.shuffle(pts)
     return pts
@@ -192,25 +195,58 @@ def test_svg_output_unchanged():
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
+def test_integer_paths_match_fraction_hull():
+    # each integer path against the Fraction hull of the same points in Fractions
+    rng = random.Random(20261019)
+    duals = 0
+    for _ in range(200):
+        P = random_polygon(rng, max_den=5)
+        facets = fraction_edges(P)
+        corners = []
+        for (n, c), (m, cm) in zip(facets, facets[1:] + facets[:1]):
+            det = n.x * m.y - n.y * m.x
+            corners.append(((c * m.y - cm * n.y) / det, (cm * n.x - c * m.x) / det))
+        normals = [(int(n.x), int(n.y)) for n, _ in facets]
+        assert RationalPolygon.from_facets(normals, [c for _, c in facets]) == fraction_hull(corners)
+        L, t = random_unimodular(rng), Vec2(rng.randint(-3, 3), rng.randint(-3, 3))
+        image = [(L.a * v.x + L.b * v.y + t.x, L.c * v.x + L.d * v.y + t.y) for v in P.vertices]
+        assert P.apply_map(AffineMap(L, t)) == fraction_hull(image)
+        if all(c > 0 for _, c in facets):
+            duals += 1
+            assert P.dual() == fraction_hull([(n.x / c, n.y / c) for n, c in facets])
+        pts = [(F(rng.randint(-9, 9), rng.randint(1, 5)), F(rng.randint(-9, 9), rng.randint(1, 5))) for _ in range(5)]
+        data = {"vertices": [[str(x), str(y)] for x, y in pts]}
+        assert _hull_or_error(RationalPolygon.from_json_dict, data) == _hull_or_error(fraction_hull, pts)
+    assert duals > 0
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 0), (0, 0, -1), (1, 0, -1), (0, 0, 2), (2, 0, 2), (-3, 6, 9)])
+def test_constructor_refuses_unreduced_triples(bad):
+    # (0, 1, 1) in place of bad is a triangle in canonical form
+    assert RationalPolygon([(-3, -3, 1), (1, 0, 1), (0, 1, 1)]).vertices == (Vec2(-3, -3), Vec2(1, 0), Vec2(0, 1))
+    with pytest.raises(ValueError, match="gcd"):
+        RationalPolygon([(-3, -3, 1), (1, 0, 1), bad])
+
+
 def test_canonical_form_is_validated():
     with pytest.raises(ValueError):
-        RationalPolygon((Vec2(0, 0), Vec2(0, 1), Vec2(1, 0)))  # clockwise
+        polygon_of((Vec2(0, 0), Vec2(0, 1), Vec2(1, 0)))  # clockwise
     with pytest.raises(ValueError):
-        RationalPolygon((Vec2(1, 0), Vec2(1, 1), Vec2(0, 1), Vec2(0, 0)))  # wrong start
+        polygon_of((Vec2(1, 0), Vec2(1, 1), Vec2(0, 1), Vec2(0, 0)))  # wrong start
     with pytest.raises(ValueError):
-        RationalPolygon((Vec2(0, 0), Vec2(F(1, 2), 0), Vec2(1, 0), Vec2(0, 1)))  # collinear run
+        polygon_of((Vec2(0, 0), Vec2(F(1, 2), 0), Vec2(1, 0), Vec2(0, 1)))  # collinear run
     # the last vertex is the second least, so each start puts the least elsewhere
     vs = hull([Vec2(0, F(1, 7)), Vec2(1, F(1, 3)), Vec2(F(1, 2), 1)]).vertices
     for k in range(1, len(vs)):
         with pytest.raises(ValueError, match="lexicographically least"):
-            RationalPolygon(vs[k:] + vs[:k])
+            polygon_of(vs[k:] + vs[:k])
 
 
 def test_star_vertex_list_is_refused():
     # every turn is left, but the edge directions wind twice around
     star = [Vec2(F(-2, 3), F(-5, 9)), Vec2(1, 0), Vec2(F(-2, 3), F(5, 9)), Vec2(1, F(-5, 3)), Vec2(1, F(5, 3))]
     with pytest.raises(ValueError, match="wind more than once"):
-        RationalPolygon(star)
+        polygon_of(star)
     assert hull(star).vertices == (star[0], star[3], star[4], star[2])
 
 
@@ -258,7 +294,7 @@ def test_area_matches_scaled_integer_polygon(rng):
     for _ in range(30):
         P = random_polygon(rng)
         d = P.denominator
-        Q = hull([d * v for v in P.vertices])
+        Q = hull([scale(d, v) for v in P.vertices])
         assert Q.denominator == 1
         assert P.area == Q.area / (d * d)
 
@@ -305,7 +341,7 @@ def test_apply_map_examples():
     shear = AffineMap(IntMat2(1, 0, 1, 1), Vec2(0, 0))
     image = UNIT_SQUARE.apply_map(shear)
     assert image == hull([Vec2(0, 0), Vec2(1, 1), Vec2(1, 2), Vec2(0, 1)])
-    assert T111.apply_map(AffineMap.identity()) == T111
+    assert T111.apply_map(AffineMap(IntMat2.identity(), Vec2(0, 0))) == T111
     with pytest.raises(ValueError):
         UNIT_SQUARE.apply_map(AffineMap(IntMat2(2, 0, 0, 1), Vec2(0, 0)))
 
@@ -313,14 +349,15 @@ def test_apply_map_examples():
 def _edge_vectors(P: RationalPolygon) -> list[Vec2]:
     """Edge k's vector from facet data: its lattice length times the normal turned a quarter left."""
     normals, offsets = zip(*facet_data(P))
-    return [edge_lattice_length_from_normals(normals, offsets, k) * Vec2(-ny, nx) for k, (nx, ny) in enumerate(normals)]
+    lengths = [edge_lattice_length_from_normals(normals, offsets, k) for k in range(len(normals))]
+    return [scale(length, Vec2(-ny, nx)) for length, (nx, ny) in zip(lengths, normals)]
 
 
 def test_edge_vector_formula_on_square():
     square = hull([Vec2(1, 1), Vec2(-1, 1), Vec2(-1, -1), Vec2(1, -1)])
     vs = square.vertices
     for v, a, b in zip(_edge_vectors(square), vs, vs[1:] + vs[:1]):
-        assert v == b - a
+        assert v == sub(b, a)
         assert abs(v.x) + abs(v.y) == 2  # side length 2, axis-parallel
 
 
@@ -328,7 +365,7 @@ def test_edge_vector_formula_on_t111_bottom_edge():
     bottom = [n for n, _ in facet_data(T111)].index((0, -1))
     assert _edge_vectors(T111)[bottom] == Vec2(3, 0)
     vs = T111.vertices
-    assert vs[(bottom + 1) % 3] - vs[bottom] == Vec2(3, 0)
+    assert sub(vs[(bottom + 1) % 3], vs[bottom]) == Vec2(3, 0)
 
 
 def test_edge_vector_formula_rejects_bad_order():
@@ -341,7 +378,7 @@ def test_formulas_match_geometry_randomized(rng):
         T = random_triangle(rng)
         vs, table = T.vertices, T.edge_table
         for v, a, b, row in zip(_edge_vectors(T), vs, vs[1:] + vs[:1], table.edges):
-            assert v == b - a
+            assert v == sub(b, a)
             assert fraction_lattice_length(a, b) == F(row[5] - row[4], table.denominator)
 
 
