@@ -1,7 +1,11 @@
 """Command-line surface: certify, vieta, construct, verify.
 
 All machine-readable output is JSON on stdout and is byte-deterministic
-for fixed inputs and flags; wall-clock timing goes to stderr.  The
+for fixed inputs and flags; wall-clock timing goes to stderr.  One
+writer, `_emit`, prints the JSON of `certify`, `vieta` and `construct`:
+its bytes are exactly those of `json.dumps(payload, indent=2,
+sort_keys=True)` plus a newline, written by a short recursive writer
+rather than the pure-Python encoder that `indent` selects.  The
 `certify` exit code distinguishes a pseudointegral polygon (0) from a
 rational one that is not (1) and from unusable input (2).
 """
@@ -13,6 +17,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .constructions import build
@@ -93,7 +98,59 @@ _SUITE_FLAGS = {
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print payload as `json.dumps(payload, indent=2, sort_keys=True)` would.
+
+    Takes dicts with str keys, lists, tuples, str, int, bool and None;
+    anything else raises TypeError, as `json.dumps` does.  Strings go
+    through the encoder that `ensure_ascii` uses, ints through
+    `int.__repr__`.
+    """
+    out: list[str] = []
+    _write_json(payload, out, "\n")
+    text = "".join(out)
+    del out  # the pieces are freed before print encodes the text
+    print(text)
+
+
+def _write_json(value, out: list[str], newline: str) -> None:
+    """Append the indented JSON text of value to out; `newline` is the line break and indent before it."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        # the separators are shared strings: out holds one new string per value
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(value[key], out, inner)
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = comma
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -206,10 +263,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             raise UsageError(f"index must be at most FIBONACCI_INDEX_LIMIT = {FIBONACCI_INDEX_LIMIT}")
         P = build(args.family, params)
         if args.svg:
-            # rendered in full before the file is opened, so a refusal writes nothing
-            svg = render_svg(P)
+            # render_svg refuses an oversized grid when called, before the file is opened
+            lines = render_svg(P)
             with open(args.svg, "w") as fh:
-                fh.write(svg)
+                fh.writelines(lines)
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     # bare polygon JSON so the output pipes straight into `certify`

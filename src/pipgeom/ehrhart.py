@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .counting import dilate_counter
-from .exact import format_rational
+from .exact import format_quotient
 from .polygon import RationalPolygon
 
 # Largest certification `certify` and the family-grid suite start, as
@@ -58,23 +59,44 @@ class CountingConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuasiPolynomial:
-    """Degree-2 quasipolynomial: one (c0, c1, c2) triple per residue class."""
+    """Degree-2 quasipolynomial: one triple per residue class.
+
+    Residue r has the coefficients (c0, c1, c2) = (K0, K1, K2) / scale
+    for its integer numerators `numerators[r]` = (K0, K1, K2), over one
+    common positive `scale` (2*D^2 for a fit with denominator D).  The
+    triples are not reduced, so two quasipolynomials are equal as
+    objects only when they share the scale.
+    """
 
     period: int
-    coeffs: tuple[tuple[Fraction, Fraction, Fraction], ...]
+    numerators: tuple[tuple[int, int, int], ...]
+    scale: int
 
     def __post_init__(self) -> None:
-        if self.period < 1 or len(self.coeffs) != self.period:
-            raise ValueError("need one coefficient triple per residue class")
+        if self.period < 1 or len(self.numerators) != self.period or self.scale < 1:
+            raise ValueError("need one coefficient triple per residue class and a positive scale")
+
+    @cached_property
+    def coeffs(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        """The (c0, c1, c2) triples as `Fraction`s, derived on first use.
+
+        Residues with equal numerators share one triple object.
+        """
+        view: dict[tuple[int, int, int], tuple[Fraction, Fraction, Fraction]] = {}
+        for key in self.numerators:
+            if key not in view:
+                view[key] = tuple([Fraction(k, self.scale) for k in key])
+        return tuple([view[key] for key in self.numerators])
 
     def evaluate(self, t: int) -> Fraction:
         """Value at any integer t, using the residue class of t mod period."""
-        c0, c1, c2 = self.coeffs[t % self.period]
-        return c0 + c1 * t + c2 * t * t
+        k0, k1, k2 = self.numerators[t % self.period]
+        return Fraction(k0 + k1 * t + k2 * t * t, self.scale)
 
     @property
     def is_polynomial(self) -> bool:
-        return all(c == self.coeffs[0] for c in self.coeffs)
+        first = self.numerators[0]
+        return all(key == first for key in self.numerators)
 
     def collapse(self) -> "QuasiPolynomial":
         """Period-1 form when all residue triples agree, otherwise self.
@@ -83,15 +105,17 @@ class QuasiPolynomial:
         (polynomial) case collapses.
         """
         if self.period > 1 and self.is_polynomial:
-            return QuasiPolynomial(1, (self.coeffs[0],))
+            return QuasiPolynomial(1, self.numerators[:1], self.scale)
         return self
 
     def to_json_dict(self) -> dict:
+        """Each coefficient written from its numerator over the scale, with one gcd."""
+        scale = self.scale
         return {
             "period": self.period,
             "coeffs": {
-                str(r): [format_rational(c) for c in triple]
-                for r, triple in enumerate(self.coeffs)
+                str(r): [format_quotient(k, scale) for k in key]
+                for r, key in enumerate(self.numerators)
             },
         }
 
@@ -133,35 +157,29 @@ def reconstruct_quasipolynomial(P: RationalPolygon) -> QuasiPolynomial:
     dilates on every polygon.  One `dilate_counter` gives both counts of
     each of the 4*(D//2 + 1) dilates.
 
-    Residues with equal numerators share one coefficient tuple, so for
-    a PIP every class holds the same object.
+    The numerators are kept over the scale 2*D^2, and residues with
+    equal numerators share one triple, so for a PIP every class holds
+    the same object.
     """
     D = P.denominator
     scale = 2 * D * D
     count = dilate_counter(P)
-    shared: dict[tuple[int, int, int], tuple[Fraction, Fraction, Fraction]] = {}
-
-    def triple(key: tuple[int, int, int]) -> tuple[Fraction, Fraction, Fraction]:
-        found = shared.get(key)
-        if found is None:
-            # from a list: tuple() of a generator would leave a resized tuple on a free list
-            found = shared[key] = tuple([Fraction(c, scale) for c in key])
-        return found
-
+    shared: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     triples: list = [None] * D
     for r in range(D // 2 + 1):
         t0 = r or D
         counts = [count(t) for t in range(t0, t0 + 4 * D, D)]
-        counted = triple(_fit(D, r, [n for n, _ in counts], ""))
+        counted = _fit(D, r, [n for n, _ in counts], "")
         k0, k1, k2 = _fit(D, r, [n - b for n, b in counts], "interior counts: ")
-        mirrored = triple((k0, -k1, k2))
+        mirrored = (k0, -k1, k2)
         if -r % D == r and mirrored != counted:
             raise CountingConsistencyError(
-                f"residue {r}: interior counts give ({', '.join(map(format_rational, mirrored))}), "
-                f"totals ({', '.join(map(format_rational, counted))})"
+                f"residue {r}: interior counts give ({', '.join(format_quotient(k, scale) for k in mirrored)}), "
+                f"totals ({', '.join(format_quotient(k, scale) for k in counted)})"
             )
-        triples[r], triples[-r % D] = counted, mirrored
-    return QuasiPolynomial(period=D, coeffs=tuple(triples))
+        triples[r] = shared.setdefault(counted, counted)
+        triples[-r % D] = shared.setdefault(mirrored, mirrored)
+    return QuasiPolynomial(D, tuple(triples), scale)
 
 
 @dataclass(frozen=True)
@@ -212,24 +230,25 @@ def is_pseudointegral(P: RationalPolygon) -> PipCertificate:
     """
     qp = reconstruct_quasipolynomial(P)
     if not qp.is_polynomial:
-        first = qp.coeffs[0]
-        witness = next(r for r, c in enumerate(qp.coeffs) if c != first)
+        first = qp.numerators[0]
+        witness = next(r for r, key in enumerate(qp.numerators) if key != first)
         D = qp.period
         if witness > D // 2:
             # a mirrored witness: count its totals too, so both residues named are counted
             count = dilate_counter(P)
             key = _fit(D, witness, [count(t)[0] for t in range(witness, witness + 4 * D, D)], "")
-            if tuple([Fraction(c, 2 * D * D) for c in key]) != qp.coeffs[witness]:
+            if key != qp.numerators[witness]:
                 raise CountingConsistencyError(
                     f"residue {witness}: totals disagree with the interior counts of residue {D - witness}"
                 )
         return PipCertificate(False, qp, witness_residues=(0, witness))
-    c0, c1, c2 = qp.coeffs[0]
-    b = 2 * c1
-    i = c2 - c1 + 1
-    if c0 != 1 or b.denominator != 1 or i.denominator != 1:
+    # c0 must be 1, and b = 2*c1 and i = c2 - c1 + 1 integers: checked on the numerators over S
+    (k0, k1, k2), S = qp.numerators[0], qp.scale
+    b, b_rest = divmod(2 * k1, S)
+    i, i_rest = divmod(k2 - k1, S)
+    if k0 != S or b_rest or i_rest:
         raise CountingConsistencyError(f"polynomial counts with impossible coefficients {qp.coeffs[0]}")
-    return PipCertificate(True, qp.collapse(), interior=int(i), boundary=int(b))
+    return PipCertificate(True, qp.collapse(), interior=i + 1, boundary=b)
 
 
 def check_reciprocity(P: RationalPolygon, t_max: int) -> bool:

@@ -1,14 +1,21 @@
 """Exact scalars: the rational text format, points and integer affine maps.
 
-Everything downstream runs on Python ints and fractions.Fraction:
-arbitrary precision, eagerly normalized to lowest terms with positive
-denominator, structurally comparable and hashable.  No floating point
-is used anywhere; lattice-point decisions are exact-equality decisions
-and any rounding would invalidate them.
+The text format "p" / "p/q" is read and written on Python ints:
+:func:`parse_rational` gives a lowest-terms pair (p, q) and
+:func:`format_quotient` writes any integer quotient, so `certify` reads
+and prints a polygon and its quasipolynomial without building a
+`fractions.Fraction`.  `Fraction` remains the value type of the `Vec2`
+points that constructions and tests build polygons from, and of the
+derived views (`RationalPolygon.vertices`, `QuasiPolynomial.coeffs`).
+Both are arbitrary precision, and a `Fraction` is eagerly normalized
+to lowest terms with a positive denominator.  No floating point is used
+anywhere; lattice-point decisions are exact-equality decisions and any
+rounding would invalidate them.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,8 +32,14 @@ def format_rational(q: Scalar) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    """Inverse of :func:`format_rational`; accepts "p" and "p/q".
+def format_quotient(p: int, q: int) -> str:
+    """Render the quotient p / q, for q > 0, as :func:`format_rational` renders it: one gcd."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def parse_rational(s: str) -> tuple[int, int]:
+    """Inverse of :func:`format_rational`: "p" or "p/q" as ints (p, q) in lowest terms, q > 0.
 
     The grammar is optional whitespace, an optional sign, ASCII digits
     and an optional "/digits".  Anything else raises ValueError: a
@@ -40,10 +53,14 @@ def parse_rational(s: str) -> Fraction:
     m = _RATIONAL.fullmatch(s)
     if m is None:
         raise ValueError(f"rational must look like \"p\" or \"p/q\", got {s!r}")
-    num, den = m.group(1), int(m.group(2) or 1)
-    if den == 0:
+    num, den = m.group(1, 2)
+    if den is None:
+        return int(num), 1
+    p, q = int(num), int(den)
+    if q == 0:
         raise ValueError(f"zero denominator in {s!r}")
-    return Fraction(int(num), den)
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def parse_integer(s: str) -> int:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from typing import Iterable, NamedTuple, Sequence
 
-from .exact import AffineMap, Scalar, Vec2, format_rational, parse_rational
+from .exact import AffineMap, Scalar, Vec2, format_quotient, parse_rational
 
 
 class DegenerateHullError(ValueError):
@@ -37,10 +37,10 @@ class NotConvexOrderError(ValueError):
     """Raised when normals are not in strictly convex counterclockwise order."""
 
 
-def _homogeneous(x: Fraction, y: Fraction) -> tuple[int, int, int]:
-    """(x, y) as reduced integers (X, Y, d) with x = X/d, y = Y/d and d > 0 the lcm of their denominators."""
-    d = math.lcm(x.denominator, y.denominator)
-    return x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d
+def _homogeneous(p: int, q: int, r: int, s: int) -> tuple[int, int, int]:
+    """(p/q, r/s), both in lowest terms with q, s > 0, as reduced integers (X, Y, d) with d = lcm(q, s)."""
+    d = math.lcm(q, s)
+    return p * (d // q), r * (d // s), d
 
 
 def _dual_step(sx: int, sy: int) -> tuple[int, int]:
@@ -255,8 +255,9 @@ class RationalPolygon:
         return _hull([(L.a * X + L.b * Y + tx * d, L.c * X + L.d * Y + ty * d, d) for X, Y, d in H])
 
     def to_json_dict(self) -> dict:
+        """{"vertices": [[x, y], ...]} in canonical order, each X/d and Y/d written with one gcd."""
         return {
-            "vertices": [[format_rational(v.x), format_rational(v.y)] for v in self.vertices]
+            "vertices": [[format_quotient(X, d), format_quotient(Y, d)] for X, Y, d in self.homogeneous]
         }
 
     @classmethod
@@ -271,7 +272,7 @@ class RationalPolygon:
             isinstance(v, (list, tuple)) and len(v) == 2 for v in vertices
         ):
             raise ValueError('"vertices" must be a list of [x, y] pairs')
-        return _hull([_homogeneous(parse_rational(x), parse_rational(y)) for x, y in vertices])
+        return _hull([_homogeneous(*parse_rational(x), *parse_rational(y)) for x, y in vertices])
 
 
 def hull(points: Iterable[Vec2 | tuple[Scalar, Scalar]]) -> RationalPolygon:
@@ -284,7 +285,7 @@ def hull(points: Iterable[Vec2 | tuple[Scalar, Scalar]]) -> RationalPolygon:
     points do not span dimension 2.
     """
     vs = [p if isinstance(p, Vec2) else Vec2(*p) for p in points]
-    return _hull([_homogeneous(v.x, v.y) for v in vs])
+    return _hull([_homogeneous(v.x.numerator, v.x.denominator, v.y.numerator, v.y.denominator) for v in vs])
 
 
 def _hull(points: Iterable[tuple[int, int, int]]) -> RationalPolygon:

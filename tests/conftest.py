@@ -15,6 +15,9 @@ enough for the benchmark's sizes: they walk every sorted prefix and try
 as last entry only the divisors of the prefix sum's square, one prefix
 at a time instead of grouped by sum.
 
+`fraction_of_text` reads a "p" / "p/q" text with `Fraction`'s own
+parser, the oracle of `exact.parse_rational`.
+
 `fraction_fit_coeffs` is the residue fit in `Fraction` arithmetic:
 divided differences through three samples per residue class, against
 which the integer finite-difference fit is checked.
@@ -141,6 +144,15 @@ def _fit_quadratic(samples: list[tuple[int, int]]) -> tuple[Fraction, Fraction, 
     c1 = d1 - c2 * (t0 + t1)
     c0 = n0 - c1 * t0 - c2 * t0 * t0
     return c0, c1, c2
+
+
+def fraction_of_text(text: str) -> Fraction:
+    """The value of a text in the grammar of `exact.parse_rational`, read by `Fraction`.
+
+    `Fraction` also takes decimals, exponents and underscores, so pass only
+    texts in the grammar: optional whitespace and sign, ASCII digits, "/digits".
+    """
+    return Fraction(text)
 
 
 def fraction_fit_coeffs(P: RationalPolygon) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:

@@ -20,9 +20,10 @@ from pipgeom.cli import (
     VERIFY_SEARCH_LIMIT,
     VIETA_DEPTH_LIMIT,
     VIETA_MAX_Z_LIMIT,
+    _emit,
     main,
 )
-from pipgeom.constructions import _PIP_RANGES, FAMILIES, fibonacci_triangle, octagon_empty_boundary
+from pipgeom.constructions import _PIP_RANGES, FAMILIES, construct_pip, fibonacci_triangle, octagon_empty_boundary
 from pipgeom.exact import Vec2
 from pipgeom.polygon import RationalPolygon, hull
 from pipgeom.suites import SUITES, SuiteResult
@@ -93,6 +94,78 @@ def test_certify_coordinate_outside_the_grammar_exit_two(coordinate, tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "p/q" in captured.err
+
+
+@pytest.mark.parametrize("coordinate", ["1/0", 5, "1e5", "1_0", "1" * 4301, "1/" + "7" * 4301])
+def test_certify_unreadable_coordinate_exit_two(coordinate, tmp_path, capsys):
+    # a zero denominator, a JSON number, an exponent, an underscore, and more
+    # digits than CPython's 4,300-digit int-to-str limit converts
+    path = tmp_path / "coordinate.json"
+    path.write_text(json.dumps({"vertices": [["0", "0"], [coordinate, "0"], ["0", "1"]]}))
+    assert main(["certify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read polygon")
+
+
+@pytest.mark.parametrize(
+    "polygon, code",
+    [
+        (lambda: fibonacci_triangle(2), 0),
+        (octagon_empty_boundary, 1),
+        (lambda: hull([(Fraction(-1, 3), 1), (1, 1), (1, 2)]), 1),
+    ],
+    ids=["pip", "non-pip", "mirrored-witness"],
+)
+def test_certify_builds_no_fraction(polygon, code, tmp_path, capsys, monkeypatch):
+    # certify reads, decides and prints on ints; the Fraction views are never built
+    path = write_polygon(tmp_path, polygon())
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    if "_from_coprime_ints" in vars(Fraction):
+        # Python 3.12+ builds arithmetic results without calling __new__
+        from_coprime = vars(Fraction)["_from_coprime_ints"].__func__
+
+        def counted_from_coprime(cls, *args):
+            built.append(args)
+            return from_coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_from_coprime))
+    assert main(["certify", path]) == code
+    assert built == []
+    assert json.loads(capsys.readouterr().out)["results"]["is_pip"] is (code == 0)
+
+
+_json_text = st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f \t\nab\u00e9\u2028\ud800\U0001f600') | st.characters())
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | _json_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+def test_emit_writes_the_text_of_json_dumps(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(value)
+    assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, b"x", object(), {"a": [1, {"b": Fraction(1)}]}])
+def test_emit_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError), contextlib.redirect_stdout(io.StringIO()):
+        _emit(value)
 
 
 @pytest.mark.parametrize("template", ["{}", '{{"vertices": {}}}'])
@@ -383,6 +456,34 @@ def test_vieta_forest_output_unchanged(b, digest, capsys):
     # SHA-256 of the stdout written by the forest search on solution objects
     assert main(["vieta", "--b", str(b), "--forest", "--max-z", str(10**12)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+_LEG = 10**CERTIFY_COORDINATE_DIGITS - 1
+
+
+@pytest.mark.parametrize(
+    "polygon, digest",
+    [
+        (lambda: fibonacci_triangle(1), "24f82027a8879e5afc5b8afb059b9a360479b9ec12cdb29785567b01ba9ec458"),
+        (lambda: construct_pip(10, 2, 14), "5bd416918503668001df6540065f61a6c473c296497f3cf304f18e9859662d59"),
+        # a non-PIP whose witness, residue 2, comes from the mirrored half
+        (lambda: hull([(Fraction(-1, 3), 1), (1, 1), (1, 2)]), "3a1c26ce207db7f47e29d28608603d15ae9214f8dd849598597fd76401a37797"),
+        (octagon_empty_boundary, "405db09418206ab116f374a5b58528e58819b8d294c51a8422cfd5dc7eb3a2a6"),
+        (lambda: hull([(0, 0), (3, 0), (1, 2)]), "ccad40336cda4055dbb4da50026552b4996a8a86b998c393d06eb9619eaa90a1"),
+        # D = 4: residue D/2 is its own mirror
+        (
+            lambda: hull([(1, 0), (0, Fraction(3, 4)), (-1, 0), (0, Fraction(-3, 4))]),
+            "6160bac16697284e59307296776e51baa9c96f4d8b24ab67fa15731b3f9dd4af",
+        ),
+        (lambda: hull([(0, 0), (_LEG, 0), (0, _LEG)]), "0e27b54b012c47e098c366db90d0b51a99fdd0304911aa8d513387ee42786518"),
+    ],
+    ids=["fibonacci-1", "p10-2-14", "mirrored-witness", "octagon", "integral", "even-denominator", "digit-limit"],
+)
+def test_certify_output_unchanged(polygon, digest, tmp_path, capsys):
+    # SHA-256 of the exit code and stdout of `certify`, taken from the
+    # json.dumps writer and the Fraction coefficient view
+    code = main(["certify", write_polygon(tmp_path, polygon())])
+    assert hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -56,10 +56,13 @@ def corrupt_counter(monkeypatch, total=lambda t: 0, boundary=lambda t: 0, calls=
 
 def reciprocity_holds(P, t_max):
     """check_reciprocity, and the interior counts against the Fraction oracle at -t."""
-    oracle = QuasiPolynomial(P.denominator, fraction_fit_coeffs(P))
-    return check_reciprocity(P, t_max) and all(
-        count_interior(P, t) == oracle.evaluate(-t) for t in range(1, t_max + 1)
-    )
+    oracle, D = fraction_fit_coeffs(P), P.denominator
+
+    def at(t):
+        c0, c1, c2 = oracle[t % D]
+        return c0 + c1 * t + c2 * t * t
+
+    return check_reciprocity(P, t_max) and all(count_interior(P, t) == at(-t) for t in range(1, t_max + 1))
 
 
 def test_unit_square_quasipolynomial():
@@ -155,18 +158,29 @@ def test_reciprocity_requires_t_max_at_least_denominator():
 
 
 def test_quasipolynomial_evaluate_uses_residue_classes():
-    qp = QuasiPolynomial(2, ((F(1), F(0), F(1)), (F(0), F(1), F(1))))
+    qp = QuasiPolynomial(2, ((2, 0, 2), (0, 2, 2)), 2)
     assert qp.evaluate(2) == 5  # residue 0
     assert qp.evaluate(3) == 12  # residue 1
     assert qp.evaluate(-1) == 0  # residue 1: 0 + (-1) + 1
+    assert qp.coeffs == ((F(1), F(0), F(1)), (F(0), F(1), F(1)))
+    assert QuasiPolynomial(1, ((1, 3, 2),), 2).evaluate(1) == 3
     with pytest.raises(ValueError):
-        QuasiPolynomial(2, ((F(1), F(0), F(1)),))
+        QuasiPolynomial(2, ((1, 0, 1),), 1)
+    with pytest.raises(ValueError):
+        QuasiPolynomial(1, ((1, 0, 1),), 0)
 
 
 def test_validation_sample_catches_corrupted_counts(monkeypatch):
     corrupt_counter(monkeypatch, total=lambda t: t == 4)  # poison only the 4th sample
     with pytest.raises(CountingConsistencyError):
         reconstruct_quasipolynomial(UNIT_SQUARE)
+
+
+def test_polynomial_with_constant_term_other_than_one_is_refused(monkeypatch):
+    # one more point at every dilate, in the totals only: every residue fits c0 = 2
+    corrupt_counter(monkeypatch, total=lambda t: 1)
+    with pytest.raises(CountingConsistencyError, match="impossible coefficients"):
+        is_pseudointegral(UNIT_SQUARE)
 
 
 def test_certificate_json_shapes():

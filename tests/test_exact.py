@@ -1,20 +1,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pipgeom.exact import (
     AffineMap,
     IntMat2,
     Vec2,
+    format_quotient,
     format_rational,
     parse_integer,
     parse_rational,
 )
 from pipgeom.polygon import hull
 
-from conftest import primitive
+from conftest import fraction_of_text, primitive
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -45,21 +46,52 @@ def test_rational_serialization():
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(-6, 8)) == "-3/4"
     assert format_rational(Fraction(5)) == "5"
-    assert parse_rational("7/2") == Fraction(7, 2)
-    assert parse_rational("-3") == Fraction(-3)
+    assert format_quotient(-6, 8) == "-3/4"
+    assert format_quotient(10, 5) == "2"
+    assert format_quotient(0, 7) == "0"
+    assert parse_rational("7/2") == (7, 2)
+    assert parse_rational("-3") == (-3, 1)
 
 
 @given(rationals)
 def test_rational_roundtrip(q):
-    assert parse_rational(format_rational(q)) == q
+    assert parse_rational(format_rational(q)) == (q.numerator, q.denominator)
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30), st.integers(1, 10**6))
+def test_format_quotient_matches_format_rational(p, q, k):
+    assert format_quotient(k * p, k * q) == format_rational(Fraction(p, q))
 
 
 @pytest.mark.parametrize(
     "text, value",
-    [("0", 0), (" -3/4 ", Fraction(-3, 4)), ("+5", 5), ("007/014", Fraction(1, 2)), ("6/3\n", 2)],
+    [("0", 0), (" -3/4 ", Fraction(-3, 4)), ("+5", 5), ("007/014", Fraction(1, 2)), ("6/3\n", 2), ("-0/5", 0)],
 )
 def test_parse_rational_accepts_p_and_p_over_q(text, value):
-    assert parse_rational(text) == value
+    # lowest terms, positive denominator
+    assert parse_rational(text) == (value.numerator, value.denominator)
+
+
+_spaces = st.text(alphabet=" \t\n\r\f\v", max_size=3)
+
+
+@given(
+    _spaces,
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 3),
+    st.integers(0, 10**40),
+    st.none() | st.tuples(st.integers(0, 3), st.integers(1, 10**40)),
+    _spaces,
+)
+@example("", "-", 0, 0, None, "")
+@example(" ", "-", 2, 0, (1, 12), "\n")
+def test_parse_rational_matches_fraction_oracle(lead, sign, zeros, p, den, trail):
+    # random signs, whitespace and leading zeros, "-0" and "p/q", in the grammar
+    text = lead + sign + "0" * zeros + str(p)
+    if den is not None:
+        text += "/" + "0" * den[0] + str(den[1])
+    value = fraction_of_text(text + trail)
+    assert parse_rational(text + trail) == (value.numerator, value.denominator)
 
 
 BAD_RATIONALS = [
