@@ -7,7 +7,7 @@ polygon families realizing extreme interior/boundary profiles.
 
 __version__ = "0.1.0"
 
-from .counting import CountReport, count_boundary, count_interior, count_report, count_total, dilate_counter
+from .counting import count_boundary, count_interior, count_total, dilate_counter
 from .ehrhart import (
     PipCertificate,
     QuasiPolynomial,
@@ -32,7 +32,6 @@ from .vieta import (
 
 __all__ = [
     "AffineMap",
-    "CountReport",
     "FamilyState",
     "IntMat2",
     "PipCertificate",
@@ -43,7 +42,6 @@ __all__ = [
     "check_reciprocity",
     "count_boundary",
     "count_interior",
-    "count_report",
     "count_total",
     "dilate_counter",
     "enumerate_reduced",

@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+from typing import NoReturn
 
 from . import __version__
 from .constructions import build
@@ -37,6 +38,14 @@ class UsageError(Exception):
     Not a ValueError, so a ValueError from library code still propagates
     as the internal fault it is.
     """
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals raise UsageError; subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
 
 # Largest search `verify` starts, in the work units of `vieta.search_cost`.
 # At the limit each n = 2..6 searches in at most about 40 ms and 1.6 MB of
@@ -161,7 +170,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     except RecursionError:
         # json.load recurses once per level of nesting
         raise UsageError("cannot read polygon: JSON nested too deeply") from None
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read polygon: {exc}") from exc
     # a D too long to print is refused under the digit limit, and D * P is
     # built only once D is within the work limit
@@ -312,7 +321,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pipgeom",
         description="Exact lattice geometry of rational polygons.",
     )
@@ -350,10 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: its exit code and one elapsed_ms line, or exit 2 on a UsageError."""
-    args = build_parser().parse_args(argv)
-    started = time.perf_counter()
+    """Run one command: its exit code and one elapsed_ms line, or exit 2 on a UsageError.
+
+    argparse's own refusals (a missing or unknown argument) are UsageErrors
+    too; only --help and --version exit from inside, with 0.
+    """
     try:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         code = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,26 +41,9 @@ dilate with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .polygon import RationalPolygon
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """Counts for one dilate t: total = boundary + interior."""
-
-    t: int
-    total: int
-    boundary: int
-    interior: int
-
-    def __post_init__(self) -> None:
-        if self.total != self.boundary + self.interior:
-            raise ValueError("total must equal boundary + interior")
-        if min(self.t, self.total, self.boundary, self.interior) < 0 or self.t < 1:
-            raise ValueError("counts must be nonnegative and t >= 1")
 
 
 def _steps(m: int, a: int) -> list[tuple[int, int, int]]:
@@ -151,13 +134,3 @@ def count_interior(P: RationalPolygon, t: int = 1) -> int:
     total, boundary = dilate_counter(P)(t)
     return total - boundary
 
-
-def count_report(P: RationalPolygon, t: int = 1) -> CountReport:
-    total, boundary = dilate_counter(P)(t)
-    return CountReport(t=t, total=total, boundary=boundary, interior=total - boundary)
-
-
-def profile(P: RationalPolygon) -> tuple[int, int]:
-    """(interior, boundary) counts of the undilated polygon."""
-    r = count_report(P, 1)
-    return r.interior, r.boundary

@@ -247,7 +247,8 @@ def is_pseudointegral(P: RationalPolygon) -> PipCertificate:
     b, b_rest = divmod(2 * k1, S)
     i, i_rest = divmod(k2 - k1, S)
     if k0 != S or b_rest or i_rest:
-        raise CountingConsistencyError(f"polynomial counts with impossible coefficients {qp.coeffs[0]}")
+        coeffs = ", ".join(format_quotient(k, S) for k in (k0, k1, k2))
+        raise CountingConsistencyError(f"polynomial counts with impossible coefficients ({coeffs})")
     return PipCertificate(True, qp.collapse(), interior=i + 1, boundary=b)
 
 

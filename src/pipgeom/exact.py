@@ -26,14 +26,12 @@ _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def format_rational(q: Scalar) -> str:
-    """Render q as "p/q" in lowest terms, or bare "p" when q is integral."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Render q as "p/q" in lowest terms, or bare "p" when q is integral: `Fraction.__str__`."""
+    return str(q)
 
 
 def format_quotient(p: int, q: int) -> str:
-    """Render the quotient p / q, for q > 0, as :func:`format_rational` renders it: one gcd."""
+    """Render the quotient p / q, for q > 0, as `Fraction(p, q).__str__` does, with one gcd."""
     g = math.gcd(p, q)
     return str(p // g) if g == q else f"{p // g}/{q // g}"
 

@@ -264,9 +264,12 @@ class RationalPolygon:
     def from_json_dict(cls, data: dict) -> "RationalPolygon":
         """Inverse of :meth:`to_json_dict`: the hull of {"vertices": [[x, y], ...]}.
 
-        Raises ValueError unless "vertices" is a list of two-entry lists
-        (a bare "xy" string would otherwise unpack as a point).
+        Raises ValueError unless data is a dict whose "vertices" is a list
+        of two-entry lists (a bare "xy" string would otherwise unpack as a
+        point).
         """
+        if not isinstance(data, dict) or "vertices" not in data:
+            raise ValueError('a polygon must be a JSON object with "vertices"')
         vertices = data["vertices"]
         if not isinstance(vertices, (list, tuple)) or not all(
             isinstance(v, (list, tuple)) and len(v) == 2 for v in vertices

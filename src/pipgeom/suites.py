@@ -204,8 +204,9 @@ def suite_counterexamples() -> SuiteResult:
 
     Q = constructions.fourgon_distance_two()
     cert = ehrhart.is_pseudointegral(Q)
+    total, boundary = counting.dilate_counter(Q)(1)
     res.add("4-gon is not pseudointegral", not cert.is_pip)
-    res.add("4-gon has exactly one interior lattice point", counting.count_interior(Q, 1) == 1)
+    res.add("4-gon has exactly one interior lattice point", total - boundary == 1)
     res.add(
         "4-gon has an edge at lattice distance 2 from the origin",
         any(abs(num) == 2 * den for _, _, num, den, _, _ in Q.edge_table.edges),
@@ -213,9 +214,10 @@ def suite_counterexamples() -> SuiteResult:
 
     O = constructions.octagon_empty_boundary()
     cert = ehrhart.is_pseudointegral(O)
+    total, boundary = counting.dilate_counter(O)(1)
     res.add("8-gon is not pseudointegral", not cert.is_pip)
-    res.add("8-gon has no boundary lattice points", counting.count_boundary(O, 1) == 0)
-    res.add("8-gon has exactly one interior lattice point", counting.count_interior(O, 1) == 1)
+    res.add("8-gon has no boundary lattice points", boundary == 0)
+    res.add("8-gon has exactly one interior lattice point", total - boundary == 1)
     res.add("8-gon dual is integral", O.dual().is_integral)
     res.add(
         "8-gon edges all at lattice distance 1",
@@ -230,7 +232,8 @@ def suite_reflexive() -> SuiteResult:
     res.add("catalog has 16 entries", len(catalog) == 16)
     b_values = []
     for k, P in enumerate(catalog):
-        i, b = counting.profile(P)
+        total, b = counting.dilate_counter(P)(1)
+        i = total - b
         b_values.append(b)
         pick = P.area == i + Fraction(b, 2) - 1
         ok = (
@@ -325,8 +328,8 @@ def suite_properties(count: int = 100, seed: int = 20250810) -> SuiteResult:
         P = _random_polygon(rng, span=4, max_den=2)
         m = AffineMap(_random_unimodular(rng), Vec2(rng.randint(-3, 3), rng.randint(-3, 3)))
         Q = P.apply_map(m)
-        ok &= all(counting.count_total(P, t) == counting.count_total(Q, t) for t in (1, 2, 3))
-        ok &= all(counting.count_boundary(P, t) == counting.count_boundary(Q, t) for t in (1, 2, 3))
+        count_p, count_q = counting.dilate_counter(P), counting.dilate_counter(Q)
+        ok &= all(count_p(t) == count_q(t) for t in (1, 2, 3))
         ok &= ehrhart.is_pseudointegral(P).is_pip == ehrhart.is_pseudointegral(Q).is_pip
     res.add(f"counts and verdicts invariant under unimodular maps, {count} polygons", ok)
 
@@ -356,10 +359,8 @@ def suite_properties(count: int = 100, seed: int = 20250810) -> SuiteResult:
         if cert.is_pip:
             pips += 1
             ok &= all(den == 1 for _, _, _, den, _, _ in P.edge_table.edges)
-            ok &= all(
-                counting.count_boundary(P, t) == t * cert.boundary
-                for t in range(1, 3 * P.denominator + 1)
-            )
+            count_p = counting.dilate_counter(P)
+            ok &= all(count_p(t)[1] == t * cert.boundary for t in range(1, 3 * P.denominator + 1))
     res.add(
         f"certified polygons have reticular edges and linear boundary counts ({pips} hits)",
         ok and pips > 0,

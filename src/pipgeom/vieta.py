@@ -358,8 +358,6 @@ def reduce_tuple(t: NTuple) -> NTuple:
 
 @dataclass(frozen=True)
 class GeneralBoundReport:
-    n: int
-    search_bound: int
     solutions: tuple[NTuple, ...]
     max_b: int
     b_values: frozenset[int]
@@ -391,8 +389,6 @@ def verify_general_bound(n: int, search_bound: int) -> GeneralBoundReport:
     all_reduce = all(r.values[-1] <= sum(r.values[:-1]) for r in map(reduce_tuple, solutions))
     b_values = frozenset(t.b for t in solutions)
     return GeneralBoundReport(
-        n=n,
-        search_bound=search_bound,
         solutions=tuple(solutions),
         max_b=max(b_values) if b_values else 0,
         b_values=b_values,

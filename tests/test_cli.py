@@ -108,6 +108,25 @@ def test_certify_unreadable_coordinate_exit_two(coordinate, tmp_path, capsys):
     assert captured.err.startswith("error: cannot read polygon")
 
 
+@pytest.mark.parametrize("body", ["{}", "[]", "1", "null", '"x"'])
+def test_certify_file_without_vertices_object_exit_two(body, tmp_path, capsys):
+    path = tmp_path / "not-a-polygon.json"
+    path.write_text(body)
+    assert main(["certify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot read polygon") and '"vertices"' in captured.err
+
+
+@pytest.mark.parametrize("argv, prefix", [(["--version"], "pipgeom "), (["certify", "--help"], "usage: ")])
+def test_help_and_version_print_and_exit_zero(argv, prefix, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(prefix)
+
+
 @pytest.mark.parametrize(
     "polygon, code",
     [
@@ -543,9 +562,7 @@ def test_verify_suite_flags_at_their_limit_run(suite, flag, name, limit, capsys,
 
 
 def test_verify_has_no_max_width_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "family-grid", "--max-width", "5"])
-    assert exc.value.code == 2
+    assert main(["verify", "--suite", "family-grid", "--max-width", "5"]) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -813,13 +830,10 @@ def test_certify_fuzz_malformed_input_exits_two(tmp_path, data):
 
 
 def _run_main(argv):
-    """Exit code, stdout and stderr of one in-process run; argparse's refusals exit too."""
+    """Exit code, stdout and stderr of one in-process run; argparse's refusals return 2 too."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -986,6 +1000,11 @@ def test_construct_fuzz_argv_exit_codes(tmp_path, case):
         ["construct", "--family", "p4", "--params", "1,4", "--svg", "{tmp}"],
         ["verify", "--suite", "no-such-suite"],
         ["verify", "--suite", "reflexive", "--bound", "3"],
+        # argparse's own refusals
+        ["certify"],
+        ["vieta", "--b", "0_9", "--reduced"],
+        ["verify", "--suite", "family-grid", "--max-width", "5"],
+        ["frobnicate"],
     ],
 )
 def test_refusal_writes_one_error_line_and_no_timing(argv, tmp_path):

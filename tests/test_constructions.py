@@ -17,7 +17,7 @@ from pipgeom.constructions import (
     scott_grid_polygon,
     t_xyz,
 )
-from pipgeom.counting import count_boundary, count_interior, profile
+from pipgeom.counting import count_boundary, count_interior, dilate_counter
 from pipgeom.ehrhart import is_pseudointegral
 from pipgeom.exact import Vec2
 from pipgeom.polygon import hull, triangle_invariant
@@ -189,7 +189,8 @@ def test_scott_grid_polygon_examples():
     for i, b in ((1, 9), (2, 10), (3, 3)):
         P = scott_grid_polygon(i, b)
         assert P.is_integral
-        assert profile(P) == (i, b)
+        total, boundary = dilate_counter(P)(1)
+        assert (total - boundary, boundary) == (i, b)
 
 
 def test_scott_grid_polygon_full_range():
@@ -198,7 +199,8 @@ def test_scott_grid_polygon_full_range():
         for b in range(3, top + 1):
             P = scott_grid_polygon(i, b)
             assert P.is_integral
-            assert profile(P) == (i, b), (i, b)
+            total, boundary = dilate_counter(P)(1)
+            assert (total - boundary, boundary) == (i, b), (i, b)
             assert is_pseudointegral(P).is_pip
 
 

@@ -14,11 +14,9 @@ from pipgeom.constructions import (
     t_xyz,
 )
 from pipgeom.counting import (
-    CountReport,
     _steps,
     count_boundary,
     count_interior,
-    count_report,
     count_total,
     dilate_counter,
 )
@@ -182,8 +180,8 @@ def test_closed_edge_count_is_lattice_length_plus_one(rng):
 def test_pick_formula_for_integral_polygons(rng):
     for _ in range(60):
         P = random_polygon(rng, max_den=1)
-        r = count_report(P, 1)
-        assert P.area == r.interior + F(r.boundary, 2) - 1
+        total, boundary = dilate_counter(P)(1)
+        assert P.area == total - boundary + F(boundary, 2) - 1
 
 
 def test_counts_invariant_under_unimodular_maps():
@@ -209,11 +207,10 @@ def test_boundary_scales_linearly_for_certified_polygons():
         assert count_boundary(P, t) == t * b
 
 
-def test_count_report_validation():
-    r = count_report(T111, 2)
-    assert (r.total, r.boundary, r.interior) == (r.boundary + r.interior, 18, r.total - 18)
-    with pytest.raises(ValueError):
-        CountReport(t=1, total=5, boundary=1, interior=1)
+def test_dilate_counter_splits_total_into_boundary_and_interior():
+    # T111 is a PIP with i = 1, b = 9 and area 9/2: 2 * T111 holds 18 + 9 + 1 points, 18 on its boundary
+    assert dilate_counter(T111)(2) == (28, 18) == brute_counts(T111, 2)[:2]
+    assert count_total(T111, 2) - count_boundary(T111, 2) == count_interior(T111, 2) == 10
 
 
 def test_rejects_nonpositive_dilation():

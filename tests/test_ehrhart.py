@@ -179,7 +179,8 @@ def test_validation_sample_catches_corrupted_counts(monkeypatch):
 def test_polynomial_with_constant_term_other_than_one_is_refused(monkeypatch):
     # one more point at every dilate, in the totals only: every residue fits c0 = 2
     corrupt_counter(monkeypatch, total=lambda t: 1)
-    with pytest.raises(CountingConsistencyError, match="impossible coefficients"):
+    # (t + 1)^2 + 1 = 2 + 2t + t^2, written as certify writes coefficients
+    with pytest.raises(CountingConsistencyError, match=r"impossible coefficients \(2, 2, 1\)$"):
         is_pseudointegral(UNIT_SQUARE)
 
 

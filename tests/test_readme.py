@@ -1,0 +1,15 @@
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_quickstart_prints_its_comments():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    expected = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    assert expected and out.getvalue().splitlines() == expected
