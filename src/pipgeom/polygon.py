@@ -6,8 +6,8 @@ lexicographically least vertex), so that equality is structural and
 fixtures are stable.  Construction goes through :func:`hull`, a
 monotone-chain hull whose comparisons and orientation tests run on those
 triples; collinear and interior points are absorbed.
-`RationalPolygon.from_facets` builds a polygon from its facet data
-instead: primitive normals and offsets.
+`RationalPolygon.from_facets` builds one from facet data instead, and
+the constructor alone checks every vertex cycle it is given.
 
 The denominator D, the area and the `Fraction` view `vertices` are
 derived from the triples, and every edge fact from one integer table
@@ -34,7 +34,7 @@ class DegenerateHullError(ValueError):
 
 
 class NotConvexOrderError(ValueError):
-    """Raised when normals are not in strictly convex counterclockwise order."""
+    """Raised when normals or vertices are not in strictly convex counterclockwise order."""
 
 
 def _homogeneous(p: int, q: int, r: int, s: int) -> tuple[int, int, int]:
@@ -89,17 +89,16 @@ class RationalPolygon:
             raise DegenerateHullError(f"need at least 3 vertices, got {len(H)}")
         if any(d <= 0 or math.gcd(X, Y, d) != 1 for X, Y, d in H):
             raise ValueError("each vertex must be integers (X, Y, d) with d > 0 and gcd(X, Y, d) = 1")
-        # each test runs on the homogeneous coordinates of its own points
-        nxt = H[1:] + H[:1]
-        for o, a, p in zip(H, nxt, H[2:] + H[:2]):
-            if _turn(o, a, p) <= 0:
-                raise ValueError("vertices not in strictly convex counterclockwise order")
+        # each step is ad * bd * (b - a), a positive multiple of its edge vector
+        steps = [(bx * ad - ax * bd, by * ad - ay * bd) for (ax, ay, ad), (bx, by, bd) in zip(H, H[1:] + H[:1])]
+        nxt = steps[1:] + steps[:1]
+        if any(sx * ey - sy * ex <= 0 for (sx, sy), (ex, ey) in zip(steps, nxt)):
+            raise NotConvexOrderError("vertices not in strictly convex counterclockwise order")
         # every turn is left and less than a half turn, so the edge directions
         # wind once around, a convex polygon, exactly when they cross once
         # from the lower half-plane into the upper; a star winds more often
-        steps = [(bx * ad - ax * bd, by * ad - ay * bd) for (ax, ay, ad), (bx, by, bd) in zip(H, nxt)]
-        if sum(not _upper(s) and _upper(e) for s, e in zip(steps, steps[1:] + steps[:1])) != 1:
-            raise ValueError("vertices wind more than once around")
+        if sum(not _upper(s) and _upper(e) for s, e in zip(steps, nxt)) != 1:
+            raise NotConvexOrderError("vertices wind more than once around")
         if any(_lex_cmp(h, H[0]) < 0 for h in H):
             raise ValueError("canonical form starts at the lexicographically least vertex")
         self.homogeneous = H
@@ -112,29 +111,33 @@ class RationalPolygon:
         `offsets` rationals.  With c_k = C_k / L over one denominator L,
         facets n = n_k and m = n_{k+1} meet at the vertex
         (C_k*m_y - C_{k+1}*n_y, C_{k+1}*n_x - C_k*m_x) / (L*det(n, m)),
-        Cramer's rule on integers.  Raises NotConvexOrderError unless the
-        normals turn once around and every edge has positive lattice
-        length by :func:`edge_lattice_length_from_normals`, so a redundant
-        facet is refused, never absorbed.
+        Cramer's rule on integers.  The constructor checks the vertex cycle,
+        so NotConvexOrderError refuses data of no polygon, and a redundant
+        facet (an edge of lattice length <= 0) is refused, never absorbed.
         """
         ns, n = list(normals), len(normals)
         if len(offsets) != n or any(math.gcd(*u) != 1 for u in ns):
             raise ValueError("need one offset per facet and primitive integer normals")
+        if n < 3:
+            raise NotConvexOrderError(f"need at least 3 facets, got {n}")
         L = math.lcm(*[c.denominator for c in offsets])
         C = [c.numerator * (L // c.denominator) for c in offsets]
-        if any(edge_lattice_length_from_normals(ns, C, k) <= 0 for k in range(n)):
-            raise NotConvexOrderError("every edge needs a positive lattice length")
-        # each step turns by less than a half turn, so every full turn
-        # crosses once from the lower half-plane into the upper
-        if sum(not _upper(u) and _upper(m) for u, m in zip(ns, ns[1:] + ns[:1])) != 1:
-            raise NotConvexOrderError("normals must turn once around the origin")
         vertices = []
         for k in range(n):
             (nx, ny), (mx, my), c, cm = ns[k], ns[(k + 1) % n], C[k], C[(k + 1) % n]
             X, Y, d = c * my - cm * ny, cm * nx - c * mx, L * (nx * my - ny * mx)
+            if d <= 0:
+                raise NotConvexOrderError("consecutive normal determinants must be positive")
             g = math.gcd(X, Y, d)
             vertices.append((X // g, Y // g, d // g))
-        return _hull(vertices)
+        # once the constructor accepts, every turn is left, so all edges run one
+        # way along their facets: forward exactly when the edge into vertex 0,
+        # on facet 0, has n_0 on its right; backward is a point reflection
+        (ax, ay, ad), (bx, by, bd), (nx, ny) = vertices[-1], vertices[0], ns[0]
+        if (bx * ad - ax * bd) * ny - (by * ad - ay * bd) * nx >= 0:
+            raise NotConvexOrderError("every edge needs a positive lattice length")
+        least = vertices.index(min(vertices, key=cmp_to_key(_lex_cmp)))
+        return cls(vertices[least:] + vertices[:least])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalPolygon) and self.homogeneous == other.homogeneous
@@ -297,9 +300,8 @@ def _hull(points: Iterable[tuple[int, int, int]]) -> RationalPolygon:
     pts = sorted(set(points), key=cmp_to_key(_lex_cmp))
     if len(pts) < 3:
         raise DegenerateHullError("hull needs at least 3 distinct points")
-    lower = _chain(pts)
-    upper = _chain(reversed(pts))
-    vs = lower[:-1] + upper[:-1]
+    # each chain ends at the point where the other begins
+    vs = _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
     if len(vs) < 3:
         raise DegenerateHullError("points are collinear")
     return RationalPolygon(vs)

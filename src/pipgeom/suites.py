@@ -320,7 +320,7 @@ def suite_properties(count: int = 100, seed: int = 20250810) -> SuiteResult:
     ok = True
     for _ in range(count):
         P = _random_polygon(rng, span=4, max_den=2)
-        ok &= ehrhart.check_reciprocity(P, 2 * P.denominator)
+        ok &= ehrhart.check_reciprocity(P, 6 * P.denominator)
     res.add(f"reciprocity at negated arguments, {count} random polygons", ok)
 
     ok = True

@@ -73,10 +73,7 @@ def vieta_jump(s: VietaSolution, position: int) -> VietaSolution:
     """
     entries = list(s.triple())
     e = entries.pop(position)
-    x, y, z = _jump(s.b, *entries, e)
-    if x <= 0:
-        raise ValueError("jump produced a nonpositive entry")  # impossible: e*e' = (p+q)^2
-    return VietaSolution(x, y, z, s.b)
+    return VietaSolution(*_jump(s.b, *entries, e), s.b)
 
 
 def _jump(b: int, p: int, q: int, e: int) -> tuple[int, int, int]:

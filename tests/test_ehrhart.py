@@ -21,6 +21,7 @@ from pipgeom.ehrhart import (
 )
 from pipgeom.exact import AffineMap, Vec2
 from pipgeom.polygon import DegenerateHullError, hull
+from pipgeom.suites import suite_properties
 from pipgeom.vieta import VietaSolution
 
 from conftest import fraction_fit_coeffs, random_polygon, random_unimodular
@@ -155,6 +156,15 @@ def test_reciprocity_randomized(rng):
 def test_reciprocity_requires_t_max_at_least_denominator():
     with pytest.raises(ValueError):
         check_reciprocity(fibonacci_triangle(1), 1)
+
+
+def test_properties_reciprocity_battery_catches_a_late_boundary_error(monkeypatch):
+    # the battery's polygons have D <= 2, and every fit reads dilates
+    # t <= 4D <= 8 only: a boundary count one too high past t = 8 leaves each
+    # fit intact, and only reciprocity checked beyond 4D can see it
+    corrupt_counter(monkeypatch, boundary=lambda t: int(t > 8))
+    failed = [label for label, ok, _ in suite_properties().checks if not ok]
+    assert failed == ["reciprocity at negated arguments, 100 random polygons"]
 
 
 def test_quasipolynomial_evaluate_uses_residue_classes():

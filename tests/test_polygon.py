@@ -157,12 +157,68 @@ SQUARE_NORMALS = [(0, -1), (1, 0), (0, 1), (-1, 0)]
         # a pentagram: every consecutive determinant and every lattice
         # length is positive, but the normals turn twice around
         ([(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)], [1, 1, 1, 1, 1]),
+        # the normals turn once, but every formula length is negative: the Cramer
+        # vertices are the point reflection of the triangle at offsets 1
+        ([(0, -1), (1, 3), (-1, -1)], [-1, -1, -1]),
+        # <(1, 1), p> <= 2 touches the square [-1, 1]^2 at its corner (1, 1),
+        # so its edge has lattice length 0
+        ([(0, -1), (1, 0), (1, 1), (0, 1), (-1, 0)], [1, 1, 2, 1, 1]),
+        ([], []),
+        ([(1, 0)], [1]),
+        ([(1, 0), (-1, 1)], [1, 1]),
     ],
-    ids=["redundant-facet", "zero-determinant", "reversed", "turns-twice"],
+    ids=["redundant-facet", "zero-determinant", "reversed", "turns-twice", "inward", "touching", "0", "1", "2"],
 )
 def test_from_facets_refuses_data_of_no_polygon(normals, offsets):
     with pytest.raises(NotConvexOrderError):
         RationalPolygon.from_facets(normals, offsets)
+
+
+def _random_facet_data(rng: random.Random) -> tuple[list[tuple[int, int]], list[F]]:
+    """0 to 6 primitive normals, mostly in angular order from a random start, with random offsets."""
+    n, normals = rng.choice([0, 1, 2, 3, 3, 4, 4, 5, 6]), []
+    while len(normals) < n:
+        u = (rng.randint(-4, 4), rng.randint(-4, 4))
+        if math.gcd(*u) == 1:
+            normals.append(u)
+    if normals and rng.random() < 0.8:
+        normals.sort(key=lambda u: math.atan2(u[1], u[0]))
+        k = rng.randrange(len(normals))
+        normals = normals[k:] + normals[:k]
+    return normals, [F(rng.randint(-2, 6), rng.randint(1, 3)) for _ in normals]
+
+
+def _facet_data_of_a_polygon(normals: list[tuple[int, int]], offsets: list[F]) -> bool:
+    """The facet rule, independent of the constructor: every consecutive
+    determinant is positive, the normals turn once around (their angle
+    increments sum to 2*pi) and every formula length is positive."""
+    pairs = list(zip(normals, normals[1:] + normals[:1]))
+    if not normals or any(a[0] * b[1] - a[1] * b[0] <= 0 for a, b in pairs):
+        return False
+    turned = sum(math.atan2(a[0] * b[1] - a[1] * b[0], a[0] * b[0] + a[1] * b[1]) for a, b in pairs)
+    if round(turned / (2 * math.pi)) != 1:
+        return False
+    return all(edge_lattice_length_from_normals(normals, offsets, k) > 0 for k in range(len(normals)))
+
+
+def test_from_facets_refuses_exactly_data_of_no_polygon():
+    rng = random.Random(20261020)
+    accepted = 0
+    for _ in range(6000):
+        normals, offsets = _random_facet_data(rng)
+        if not _facet_data_of_a_polygon(normals, offsets):
+            with pytest.raises(NotConvexOrderError):
+                RationalPolygon.from_facets(normals, offsets)
+            continue
+        accepted += 1
+        table = RationalPolygon.from_facets(normals, offsets).edge_table
+        k = normals.index(table.edges[0][:2])
+        normals, offsets = normals[k:] + normals[:k], offsets[k:] + offsets[:k]
+        assert [(nx, ny) for nx, ny, _, _, _, _ in table.edges] == normals
+        assert [F(num, den) for _, _, num, den, _, _ in table.edges] == offsets
+        for j, (_, _, _, _, wa, wb) in enumerate(table.edges):
+            assert F(wb - wa, table.denominator) == edge_lattice_length_from_normals(normals, offsets, j)
+    assert 200 < accepted < 5800
 
 
 def test_from_facets_refuses_non_primitive_normals():
@@ -245,7 +301,7 @@ def test_canonical_form_is_validated():
 def test_star_vertex_list_is_refused():
     # every turn is left, but the edge directions wind twice around
     star = [Vec2(F(-2, 3), F(-5, 9)), Vec2(1, 0), Vec2(F(-2, 3), F(5, 9)), Vec2(1, F(-5, 3)), Vec2(1, F(5, 3))]
-    with pytest.raises(ValueError, match="wind more than once"):
+    with pytest.raises(NotConvexOrderError, match="wind more than once"):
         polygon_of(star)
     assert hull(star).vertices == (star[0], star[3], star[4], star[2])
 
