@@ -7,7 +7,7 @@ polygon families realizing extreme interior/boundary profiles.
 
 __version__ = "0.1.0"
 
-from .counting import count_boundary, count_interior, count_total, dilate_counter
+from .counting import count_boundary, count_total, dilate_counter
 from .ehrhart import (
     PipCertificate,
     QuasiPolynomial,
@@ -41,7 +41,6 @@ __all__ = [
     "VietaSolution",
     "check_reciprocity",
     "count_boundary",
-    "count_interior",
     "count_total",
     "dilate_counter",
     "enumerate_reduced",

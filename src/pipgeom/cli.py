@@ -7,14 +7,16 @@ its bytes are exactly those of `json.dumps(payload, indent=2,
 sort_keys=True)` plus a newline, written by a short recursive writer
 rather than the pure-Python encoder that `indent` selects.  The
 `certify` exit code distinguishes a pseudointegral polygon (0) from a
-rational one that is not (1) and from unusable input (2).
+rational one that is not (1) and from no verdict (2).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -359,17 +361,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: its exit code and one elapsed_ms line, or exit 2 on a UsageError.
+    """Run one command: its exit code and one elapsed_ms line, or exit 2 with one error line.
 
-    argparse's own refusals (a missing or unknown argument) are UsageErrors
-    too; only --help and --version exit from inside, with 0.
+    Exit 2 means no verdict: a UsageError, argparse's own refusals among
+    them, or output that cannot be written (a closed pipe, a full disk).
+    Only --help and --version exit from inside, with 0.
     """
     try:
         args = build_parser().parse_args(argv)
         started = time.perf_counter()
         code = args.func(args)
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:
+        # the interpreter flushes stdout once more at exit: what is left of
+        # the refused output goes to os.devnull, so it prints no traceback
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr)
     return code

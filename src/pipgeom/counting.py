@@ -34,9 +34,9 @@ the offset of the edge it starts integral at t, so that edge's den
 divides t and counts the vertex, and the edge ending there does not.
 O(edges) integer steps per count.
 
-`dilate_counter(P)` returns the one counter of both; `count_total`,
-`count_boundary` and `count_interior` each build one and count a single
-dilate with it.
+`dilate_counter(P)` returns the one counter of both, built from the rows
+of `RationalPolygon.edge_table`; `count_total` and `count_boundary` each
+build one and count a single dilate with it.
 """
 
 from __future__ import annotations
@@ -66,28 +66,34 @@ def _steps(m: int, a: int) -> list[tuple[int, int, int]]:
 def dilate_counter(P: RationalPolygon) -> Callable[[int], tuple[int, int]]:
     """`count(t) -> (total, boundary)`: the lattice points of t * P, and those on its boundary.
 
-    Built once per polygon from `P.edge_table`: each non-vertical edge
-    keeps its column range and its fixed chain of floor-sum steps, and
-    each edge its boundary row; see the module docstring.
+    Built once per polygon from the vertices V of D * P and the rows of
+    `P.edge_table`: each non-vertical edge keeps its column range and its
+    fixed chain of floor-sum steps, and each edge its boundary row.
     """
-    table = P.edge_table
-    D, x_lo, x_hi = table.denominator, table.x_lo, table.x_hi
+    D, V = P.denominator, P.scaled_vertices
+    xs = [x for x, _ in V]
+    x_min, x_max = min(xs), max(xs)
     # per non-vertical edge: its column range, whether it ends at the last
     # column, the terms c and a of b = c*t - a*start, the steps before the
     # last, and the last step's m and q (its r is 0)
     rows = []
-    for lo, hi, m, a, c in table.columns:
-        *steps, (m, q, _) = _steps(m, -a)
-        rows.append((lo, hi, hi == x_hi, a, c, steps, m, q))
+    for (ax, _), (bx, _), (nx, ny, num, den, _, _) in zip(V, V[1:] + V[:1], P.edge_table):
+        if ny:
+            # the edge spans lo/D <= x <= hi/D; at column x of t * P, with
+            # m = den*|n_y| and a = den*n_x, an upper edge (n_y > 0) gives
+            # y <= (num*t - a*x) / m and a lower edge y >= -(num*t - a*x) / m
+            lo, hi = (ax, bx) if ax <= bx else (bx, ax)
+            *steps, (m, q, _) = _steps(den * abs(ny), -den * nx)
+            rows.append((lo, hi, hi == x_max, den * nx, num, steps, m, q))
     # boundary rows; an edge with den = 1 holds lattice points at every t
-    reticular = [(wa, wb) for _, _, _, den, wa, wb in table.edges if den == 1]
-    others = [(den, wa, wb) for _, _, _, den, wa, wb in table.edges if den != 1]
+    reticular = [(wa, wb) for _, _, _, den, wa, wb in P.edge_table if den == 1]
+    others = [(den, wa, wb) for _, _, _, den, wa, wb in P.edge_table if den != 1]
 
     def count(t: int) -> tuple[int, int]:
         if t < 1:
             raise ValueError("dilation factor must be >= 1")
         mt = -t
-        total = t * x_hi // D + mt * x_lo // D + 1
+        total = t * x_max // D + mt * x_min // D + 1
         for lo, hi, last, a, c, steps, m_last, q_last in rows:
             start = -(mt * lo // D)
             # half-open x-ranges, except that the column at floor(t * xmax)
@@ -127,10 +133,3 @@ def count_boundary(P: RationalPolygon, t: int = 1) -> int:
     edge [A, B) of t * P; see the module docstring.
     """
     return dilate_counter(P)(t)[1]
-
-
-def count_interior(P: RationalPolygon, t: int = 1) -> int:
-    """Number of lattice points strictly inside t * P."""
-    total, boundary = dilate_counter(P)(t)
-    return total - boundary
-

@@ -10,12 +10,11 @@ triples; collinear and interior points are absorbed.
 the constructor alone checks every vertex cycle it is given.
 
 The denominator D, the area and the `Fraction` view `vertices` are
-derived from the triples, and every edge fact from one integer table
-built from the vertices V = D * v of D * P,
-`RationalPolygon.edge_table`: primitive outer normals, offsets and
-lattice lengths, the floor-sum rows of `counting.dilate_counter`, and
-one row per edge from which that counter counts the boundary and
-`boundary_points` lists the lattice points on each half-open edge
+derived from the triples, and every edge fact from one integer row per
+edge built from the vertices V = D * v of D * P,
+`RationalPolygon.edge_table`: its primitive outer normal, offset and
+lattice length, from which `counting.dilate_counter` counts the boundary
+and `boundary_points` lists the lattice points on each half-open edge
 [A, B), so every boundary lattice point belongs to exactly one edge.
 """
 
@@ -24,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .exact import AffineMap, Scalar, Vec2, format_quotient, parse_rational
 
@@ -52,23 +51,13 @@ def _dual_step(sx: int, sy: int) -> tuple[int, int]:
 
 
 def _det(u: tuple[int, int], v: tuple[int, int]) -> int:
-    """Determinant of the 2x2 integer matrix with columns u, v."""
+    """Determinant u_x*v_y - u_y*v_x of two integer vectors."""
     return u[0] * v[1] - u[1] * v[0]
 
 
 def _upper(n: tuple[int, int]) -> bool:
     """Whether the direction of n has angle in [0, pi)."""
     return n[1] > 0 or (n[1] == 0 and n[0] > 0)
-
-
-class EdgeTable(NamedTuple):
-    """Integer edge data of a polygon P with denominator D; see `RationalPolygon.edge_table`."""
-
-    denominator: int
-    x_lo: int
-    x_hi: int
-    columns: tuple[tuple[int, int, int, int, int], ...]
-    edges: tuple[tuple[int, int, int, int, int, int], ...]
 
 
 class RationalPolygon:
@@ -172,26 +161,21 @@ class RationalPolygon:
         return tuple([(X * (D // d), Y * (D // d)) for X, Y, d in self.homogeneous])
 
     @cached_property
-    def edge_table(self) -> EdgeTable:
-        """Integer data of every edge, built from the vertices V = D * v of D * P.
+    def edge_table(self) -> tuple[tuple[int, int, int, int, int, int], ...]:
+        """One integer row (n_x, n_y, num, den, <w, A>, <w, B>) per edge of D * P.
 
-        For the edge from A to B, with g = gcd(B - A) and the primitive
-        step s = (B - A) / g, the outward normal is n = (s_y, -s_x) and
-        P's offset <n, A> / D reduces to num / den.  `columns` holds
-        (lo, hi, m, a, c) = (lo, hi, den*|n_y|, den*n_x, num) per
-        non-vertical edge: the edge spans lo/D <= x <= hi/D, and at column
-        x of t * P an upper edge gives y <= (c*t - a*x) / m and a lower
-        edge y >= -(c*t - a*x) / m.  `edges` holds one row
-        (n_x, n_y, num, den, <w, A>, <w, B>) per edge, with w an integer
-        vector and <w, s> = 1, so that <w, B> - <w, A> = g is the lattice
-        length of the edge and <w, .> numbers the lattice points of the
-        edge's line by consecutive integers.
+        For the edge from A to B of the vertices V = D * v, with
+        g = gcd(B - A) and the primitive step s = (B - A) / g, the outward
+        normal is n = (s_y, -s_x) and P's offset <n, A> / D reduces to
+        num / den.  w is an integer vector with <w, s> = 1, so that
+        <w, B> - <w, A> = g is the lattice length of the edge and <w, .>
+        numbers the lattice points of the edge's line by consecutive integers.
         """
         D, V = self.denominator, self.scaled_vertices
-        # lists, not generators, feed every tuple below: tuple() of a
-        # generator is resized to fit, and CPython then keeps the freed tuple
-        # on the free list of its final size, so each op would leave one more
-        columns, edges = [], []
+        # a list, not a generator, feeds the tuple: tuple() of a generator is
+        # resized to fit, and CPython then keeps the freed tuple on the free
+        # list of its final size, so each op would leave one more
+        rows = []
         for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
             g = math.gcd(bx - ax, by - ay)
             sx, sy = (bx - ax) // g, (by - ay) // g
@@ -199,14 +183,9 @@ class RationalPolygon:
             nx, ny = sy, -sx
             c = nx * ax + ny * ay
             h = math.gcd(c, D)
-            num, den = c // h, D // h
-            if ny:
-                lo, hi = (ax, bx) if ax <= bx else (bx, ax)
-                columns.append((lo, hi, den * abs(ny), den * nx, num))
             u, v = _dual_step(sx, sy)
-            edges.append((nx, ny, num, den, u * ax + v * ay, u * bx + v * by))
-        xs = [x for x, _ in V]
-        return EdgeTable(D, min(xs), max(xs), tuple(columns), tuple(edges))
+            rows.append((nx, ny, c // h, D // h, u * ax + v * ay, u * bx + v * by))
+        return tuple(rows)
 
     def boundary_points(self) -> set[tuple[int, int]]:
         """Lattice points on the boundary, from the rows of `edge_table`.
@@ -215,9 +194,8 @@ class RationalPolygon:
         <w, p> = j for <w, A> <= D*j < <w, B>, as det[[n_x, n_y], [u, v]] = 1.
         Each edge is half-open, so it lists its start but not its end.
         """
-        table = self.edge_table
-        D, points = table.denominator, set()
-        for nx, ny, num, den, wa, wb in table.edges:
+        D, points = self.denominator, set()
+        for nx, ny, num, den, wa, wb in self.edge_table:
             if den == 1:
                 u, v = _dual_step(-ny, nx)
                 points.update((v * num - ny * j, nx * j - u * num) for j in range(-(-wa // D), -(-wb // D)))
@@ -229,7 +207,7 @@ class RationalPolygon:
 
     def strictly_contains(self, p: Vec2) -> bool:
         """Whether den * <n, p> < num holds for every row of `edge_table`."""
-        return all(den * (nx * p.x + ny * p.y) < num for nx, ny, num, den, _, _ in self.edge_table.edges)
+        return all(den * (nx * p.x + ny * p.y) < num for nx, ny, num, den, _, _ in self.edge_table)
 
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         xs = [v.x for v in self.vertices]
@@ -242,7 +220,7 @@ class RationalPolygon:
         Defined only when the origin is strictly interior, that is when
         every offset num / den is positive.
         """
-        rows = self.edge_table.edges
+        rows = self.edge_table
         if any(num <= 0 for _, _, num, _, _, _ in rows):
             raise ValueError("dual requires the origin strictly inside the polygon")
         # gcd(n_x, n_y) = gcd(num, den) = 1, so each (n * den, num) is reduced
@@ -357,7 +335,7 @@ def triangle_invariant(T: RationalPolygon) -> tuple[int, int, int]:
     (x, y, z) the value is exactly (x, y, z).  The normals come from the
     rows of `edge_table`, so every determinant is positive.
     """
-    rows = T.edge_table.edges
+    rows = T.edge_table
     if len(rows) != 3:
         raise ValueError("triangle invariant is defined for triangles")
     u, v, w = [(nx, ny) for nx, ny, _, _, _, _ in rows]

@@ -137,8 +137,9 @@ def suite_family_grid(depth: int = 4) -> SuiteResult:
     return res
 
 
-def suite_fibonacci(depth: int = 5) -> SuiteResult:
+def suite_fibonacci() -> SuiteResult:
     res = SuiteResult("fibonacci")
+    depth = 5
     # family recursion against a direct Fibonacci iteration
     fam = vieta.family(VietaSolution(1, 1, 1, 9), depth)
     fa, fb = 1, 1  # F_1, F_2
@@ -175,11 +176,11 @@ def suite_fibonacci(depth: int = 5) -> SuiteResult:
     return res
 
 
-def suite_denominator_grid(i_max: int = 6) -> SuiteResult:
+def suite_denominator_grid() -> SuiteResult:
     res = SuiteResult("denominator-grid")
     for d, (slope, intercept) in constructions._PIP_RANGES.items():
         all_ok, count, first_bad = True, 0, ""
-        for i in range(1, i_max + 1):
+        for i in range(1, 7):
             for b in range(2, slope * i + intercept + 1):
                 P = constructions.construct_pip(d, i, b)
                 cert = ehrhart.is_pseudointegral(P)
@@ -192,7 +193,7 @@ def suite_denominator_grid(i_max: int = 6) -> SuiteResult:
                 if not ok and all_ok:
                     all_ok, first_bad = False, f"first failure at (i={i}, b={b})"
         res.add(
-            f"denominator-{d} grid: profile and denominator for i <= {i_max}, 2 <= b <= {slope}i+{intercept}",
+            f"denominator-{d} grid: profile and denominator for i <= 6, 2 <= b <= {slope}i+{intercept}",
             all_ok,
             first_bad or f"{count} polygons",
         )
@@ -209,7 +210,7 @@ def suite_counterexamples() -> SuiteResult:
     res.add("4-gon has exactly one interior lattice point", total - boundary == 1)
     res.add(
         "4-gon has an edge at lattice distance 2 from the origin",
-        any(abs(num) == 2 * den for _, _, num, den, _, _ in Q.edge_table.edges),
+        any(abs(num) == 2 * den for _, _, num, den, _, _ in Q.edge_table),
     )
 
     O = constructions.octagon_empty_boundary()
@@ -221,7 +222,7 @@ def suite_counterexamples() -> SuiteResult:
     res.add("8-gon dual is integral", O.dual().is_integral)
     res.add(
         "8-gon edges all at lattice distance 1",
-        all(abs(num) == den for _, _, num, den, _, _ in O.edge_table.edges),
+        all(abs(num) == den for _, _, num, den, _, _ in O.edge_table),
     )
     return res
 
@@ -307,15 +308,15 @@ def _random_polygon(rng: random.Random, span: int = 6, max_den: int = 3) -> Rati
             continue
 
 
-def _random_triangle(rng: random.Random, span: int = 6, max_den: int = 3) -> RationalPolygon:
+def _random_triangle(rng: random.Random) -> RationalPolygon:
     # a polygon's vertices are strictly convex, so its first three are never collinear
-    return hull(_random_polygon(rng, span, max_den).vertices[:3])
+    return hull(_random_polygon(rng).vertices[:3])
 
 
-def suite_properties(count: int = 100, seed: int = 20250810) -> SuiteResult:
+def suite_properties(count: int = 100) -> SuiteResult:
     """Randomized invariant batteries, `count` instances per property."""
     res = SuiteResult("properties")
-    rng = random.Random(seed)
+    rng = random.Random(20250810)
 
     ok = True
     for _ in range(count):
@@ -343,12 +344,12 @@ def suite_properties(count: int = 100, seed: int = 20250810) -> SuiteResult:
     ok = True
     for _ in range(count):
         P = _random_polygon(rng)
-        table = P.edge_table
-        normals = [(nx, ny) for nx, ny, _, _, _, _ in table.edges]
-        offsets = [Fraction(num, den) for _, _, num, den, _, _ in table.edges]
+        rows = P.edge_table
+        normals = [(nx, ny) for nx, ny, _, _, _, _ in rows]
+        offsets = [Fraction(num, den) for _, _, num, den, _, _ in rows]
         ok &= RationalPolygon.from_facets(normals, offsets) == P
-        for k, (_, _, _, _, wa, wb) in enumerate(table.edges):
-            ok &= edge_lattice_length_from_normals(normals, offsets, k) == Fraction(wb - wa, table.denominator)
+        for k, (_, _, _, _, wa, wb) in enumerate(rows):
+            ok &= edge_lattice_length_from_normals(normals, offsets, k) == Fraction(wb - wa, P.denominator)
     res.add(f"facet-data formulas match direct geometry, {count} polygons", ok)
 
     ok = True
@@ -358,7 +359,7 @@ def suite_properties(count: int = 100, seed: int = 20250810) -> SuiteResult:
         cert = ehrhart.is_pseudointegral(P)
         if cert.is_pip:
             pips += 1
-            ok &= all(den == 1 for _, _, _, den, _, _ in P.edge_table.edges)
+            ok &= all(den == 1 for _, _, _, den, _, _ in P.edge_table)
             count_p = counting.dilate_counter(P)
             ok &= all(count_p(t)[1] == t * cert.boundary for t in range(1, 3 * P.denominator + 1))
     res.add(

@@ -55,13 +55,13 @@ def test_criterion_04_family_triangle_grid():
 
 
 def test_criterion_05_fibonacci_family():
-    result = suites.suite_fibonacci(depth=5)
+    result = suites.suite_fibonacci()
     _run(5, "Fibonacci triangles certify (1, 9), denominators grow", result)
 
 
 def test_criterion_06_denominator_grid():
     started = time.time()
-    result = suites.suite_denominator_grid(i_max=6)
+    result = suites.suite_denominator_grid()
     elapsed = time.time() - started
     _run(6, "denominator-3/4/10 grid certifies every in-range (i, b)", result)
     assert elapsed < 300.0, f"took {elapsed:.2f}s, budget 300s"

@@ -1,16 +1,22 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pipgeom
 from pipgeom.cli import (
     CERTIFY_COORDINATE_DIGITS,
     CERTIFY_WORK_LIMIT,
@@ -903,9 +909,13 @@ def _vieta_well_formed(fields, modes) -> bool:
         if not 0 <= depth <= VIETA_DEPTH_LIMIT:
             return False
         seed = fields["--family"]
-        return re.fullmatch(r"\s*\+?[0-9]+\s*(,\s*\+?[0-9]+\s*){2}", seed) is not None and tuple(
-            sorted(map(int, seed.split(",")))
-        ) in {(s.x, s.y, s.z) for s in all_reduced_solutions() if s.b == b}
+        if re.fullmatch(r"\s*\+?[0-9]+\s*(,\s*\+?[0-9]+\s*){2}", seed) is None:
+            return False
+        # an entry past CPython's int-to-str digit limit is refused, as _as_int says
+        entries = [_as_int(v) for v in seed.split(",")]
+        return None not in entries and tuple(sorted(entries)) in {
+            (s.x, s.y, s.z) for s in all_reduced_solutions() if s.b == b
+        }
     return True
 
 
@@ -1047,3 +1057,70 @@ def test_library_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
     monkeypatch.setattr("pipgeom.cli.is_pseudointegral", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["certify", write_polygon(tmp_path, fibonacci_triangle(1))])
+
+
+class _RefusingStdout(io.StringIO):
+    """A stdout whose `write` or `flush` raises the given OSError."""
+
+    def __init__(self, method, exc):
+        super().__init__()
+        self.method, self.exc = method, exc
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.exc
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.exc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "{tmp}/pip.json"],
+        ["certify", "{tmp}/octagon.json"],
+        ["vieta", "--b", "1", "--reduced", "--format", "table"],
+        ["verify", "--suite", "reduced-table"],
+    ],
+)
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize(
+    "exc",
+    [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "No space left on device")],
+    ids=["EPIPE", "ENOSPC"],
+)
+def test_unwritable_output_is_no_verdict(argv, method, exc, tmp_path):
+    write_polygon(tmp_path, fibonacci_triangle(1), "pip.json")
+    write_polygon(tmp_path, octagon_empty_boundary(), "octagon.json")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_RefusingStdout(method, exc)), contextlib.redirect_stderr(err):
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 2
+    assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+    assert "elapsed_ms" not in err.getvalue()
+
+
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+def test_unwritable_output_exits_two_without_traceback(target, tmp_path):
+    """The script's own exit flushes nothing more into a stdout that refused output."""
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full on this platform")
+    path = write_polygon(tmp_path, fibonacci_triangle(2))
+    # a buffered stdout, as a shell gives, still holds the refused output at exit
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(pipgeom.__file__).parents[1])
+    command = [sys.executable, "-m", "pipgeom.cli", "certify", path]
+    if target == "/dev/full":
+        with open(target, "w") as out:
+            done = subprocess.run(command, stdout=out, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(command, stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        finally:
+            os.close(write)
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")

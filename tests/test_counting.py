@@ -16,12 +16,11 @@ from pipgeom.constructions import (
 from pipgeom.counting import (
     _steps,
     count_boundary,
-    count_interior,
     count_total,
     dilate_counter,
 )
 from pipgeom.exact import AffineMap, IntMat2, Vec2
-from pipgeom.polygon import DegenerateHullError, EdgeTable, hull
+from pipgeom.polygon import DegenerateHullError, hull
 from pipgeom.vieta import VietaSolution
 
 from conftest import (
@@ -52,10 +51,15 @@ def test_count_boundary_examples():
     assert count_boundary(fibonacci_triangle(1), 1) == 9
 
 
+def interior(P, t):
+    total, boundary = dilate_counter(P)(t)
+    return total - boundary
+
+
 def test_count_interior_examples():
-    assert count_interior(UNIT_SQUARE, 1) == 0
-    assert count_interior(fibonacci_triangle(1), 1) == 1
-    assert count_interior(construct_pip(3, 3, 14), 1) == 3
+    assert interior(UNIT_SQUARE, 1) == 0
+    assert interior(fibonacci_triangle(1), 1) == 1
+    assert interior(construct_pip(3, 3, 14), 1) == 3
 
 
 def test_counts_against_brute_oracle(rng):
@@ -63,10 +67,10 @@ def test_counts_against_brute_oracle(rng):
     cases += [random_polygon(rng, span=4) for _ in range(40)]
     for P in cases:
         for t in (1, 2, 5):
-            total, boundary, interior = brute_counts(P, t)
+            total, boundary, inside = brute_counts(P, t)
             assert count_total(P, t) == total
             assert count_boundary(P, t) == boundary
-            assert count_interior(P, t) == interior
+            assert interior(P, t) == inside
 
 
 def test_python_and_fast_paths_agree(rng):
@@ -173,7 +177,7 @@ def test_closed_edge_count_is_lattice_length_plus_one(rng):
     for _ in range(40):
         P = random_polygon(rng, max_den=1)  # integral polygon, so D = 1
         vs = P.vertices
-        for a, b, (_, _, _, _, wa, wb) in zip(vs, vs[1:] + vs[:1], P.edge_table.edges):
+        for a, b, (_, _, _, _, wa, wb) in zip(vs, vs[1:] + vs[:1], P.edge_table):
             assert segment_lattice_points(a, b) == wb - wa + 1
 
 
@@ -210,7 +214,7 @@ def test_boundary_scales_linearly_for_certified_polygons():
 def test_dilate_counter_splits_total_into_boundary_and_interior():
     # T111 is a PIP with i = 1, b = 9 and area 9/2: 2 * T111 holds 18 + 9 + 1 points, 18 on its boundary
     assert dilate_counter(T111)(2) == (28, 18) == brute_counts(T111, 2)[:2]
-    assert count_total(T111, 2) - count_boundary(T111, 2) == count_interior(T111, 2) == 10
+    assert count_total(T111, 2) - count_boundary(T111, 2) == interior(T111, 2) == 10
 
 
 def test_rejects_nonpositive_dilation():
@@ -223,12 +227,15 @@ def test_rejects_nonpositive_dilation():
 def counter_floor_sum(n, m, a, b):
     """Sum of floor((a*i + b) / m) over 0 <= i < n, as `dilate_counter` counts it.
 
-    The counter runs on one synthetic edge row (0, n, m, -a, b) at D = 1
-    and t = 1: the row spans the columns 0..n-1 (it does not end at
-    x_hi = n + 1), so the count is the n + 2 columns plus this floor sum.
+    The counter runs at D = 1 and t = 1 on a stand-in with vertices (0, 0),
+    (n, 0), (n + 1, 0): the edge rows give the first edge the normal
+    (-a, m) and offset b, and the two others are vertical with every
+    <w, .> = 0.  The first edge spans the columns 0..n-1 (it does not end
+    at x = n + 1), so the count is the n + 2 columns plus this floor sum.
     """
-    table = EdgeTable(1, 0, n + 1, ((0, n, m, -a, b),), ())
-    total, boundary = dilate_counter(SimpleNamespace(edge_table=table))(1)
+    rows = ((-a, m, b, 1, 0, 0), (1, 0, 0, 1, 0, 0), (1, 0, 0, 1, 0, 0))
+    P = SimpleNamespace(denominator=1, scaled_vertices=((0, 0), (n, 0), (n + 1, 0)), edge_table=rows)
+    total, boundary = dilate_counter(P)(1)
     assert boundary == 0
     return total - (n + 2)
 
@@ -278,8 +285,8 @@ def test_dilate_counter_matches_oracles():
                 total, boundary, _ = brute_counts(P, t)
                 assert count(t) == (total, boundary), (P, t)
             denominators.add(D)
-            vertical += any(ny == 0 for _, ny, _, _, _, _ in P.edge_table.edges)
-            horizontal += any(nx == 0 for nx, _, _, _, _, _ in P.edge_table.edges)
+            vertical += any(ny == 0 for _, ny, _, _, _, _ in P.edge_table)
+            horizontal += any(nx == 0 for nx, _, _, _, _, _ in P.edge_table)
     assert denominators == set(range(1, 13)) and vertical and horizontal
 
 
@@ -290,7 +297,7 @@ def test_dilate_counter_on_sixty_digit_coordinates():
     P = hull([Vec2(F(rng.randint(-2 * q, 2 * q), q) + shift, F(rng.randint(-2 * q, 2 * q), q)) for q in Q])
     assert len(str(P.denominator)) > 100
     # 60-digit slopes give long step chains, each step at least halving m
-    assert max(len(_steps(m, -a)) for _, _, m, a, _ in P.edge_table.columns) > 40
+    assert max(len(_steps(den * abs(ny), -den * nx)) for nx, ny, _, den, _, _ in P.edge_table if ny) > 40
     count = dilate_counter(P)
     # wide dilates keep n above 1 deep enough in the chains for the reverse-order shift to matter
     for t in (1, 2, 3, 97, 500):

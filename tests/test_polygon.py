@@ -44,7 +44,7 @@ T111 = hull([Vec2(-3, 2), Vec2(0, -1), Vec2(3, -1)])
 
 def facet_data(P: RationalPolygon) -> list[tuple[tuple[int, int], F]]:
     """(normal, offset) per row of `P.edge_table`, the normal as an integer pair."""
-    return [((nx, ny), F(num, den)) for nx, ny, num, den, _, _ in P.edge_table.edges]
+    return [((nx, ny), F(num, den)) for nx, ny, num, den, _, _ in P.edge_table]
 
 
 def test_hull_absorbs_interior_point():
@@ -131,10 +131,10 @@ def _catalog_and_random() -> list[RationalPolygon]:
 
 def test_edges_match_fraction_normals_and_offsets():
     for P in _catalog_and_random():
-        vs, table = P.vertices, P.edge_table
+        vs = P.vertices
         assert [(Vec2(*n), c) for n, c in facet_data(P)] == fraction_edges(P)
-        for a, b, (_, _, _, _, wa, wb) in zip(vs, vs[1:] + vs[:1], table.edges):
-            assert F(wb - wa, table.denominator) == fraction_lattice_length(a, b)
+        for a, b, (_, _, _, _, wa, wb) in zip(vs, vs[1:] + vs[:1], P.edge_table):
+            assert F(wb - wa, P.denominator) == fraction_lattice_length(a, b)
 
 
 def test_from_facets_rebuilds_every_polygon():
@@ -211,13 +211,14 @@ def test_from_facets_refuses_exactly_data_of_no_polygon():
                 RationalPolygon.from_facets(normals, offsets)
             continue
         accepted += 1
-        table = RationalPolygon.from_facets(normals, offsets).edge_table
-        k = normals.index(table.edges[0][:2])
+        P = RationalPolygon.from_facets(normals, offsets)
+        rows = P.edge_table
+        k = normals.index(rows[0][:2])
         normals, offsets = normals[k:] + normals[:k], offsets[k:] + offsets[:k]
-        assert [(nx, ny) for nx, ny, _, _, _, _ in table.edges] == normals
-        assert [F(num, den) for _, _, num, den, _, _ in table.edges] == offsets
-        for j, (_, _, _, _, wa, wb) in enumerate(table.edges):
-            assert F(wb - wa, table.denominator) == edge_lattice_length_from_normals(normals, offsets, j)
+        assert [(nx, ny) for nx, ny, _, _, _, _ in rows] == normals
+        assert [F(num, den) for _, _, num, den, _, _ in rows] == offsets
+        for j, (_, _, _, _, wa, wb) in enumerate(rows):
+            assert F(wb - wa, P.denominator) == edge_lattice_length_from_normals(normals, offsets, j)
     assert 200 < accepted < 5800
 
 
@@ -432,15 +433,15 @@ def test_edge_vector_formula_rejects_bad_order():
 def test_formulas_match_geometry_randomized(rng):
     for _ in range(100):
         T = random_triangle(rng)
-        vs, table = T.vertices, T.edge_table
-        for v, a, b, row in zip(_edge_vectors(T), vs, vs[1:] + vs[:1], table.edges):
+        vs = T.vertices
+        for v, a, b, row in zip(_edge_vectors(T), vs, vs[1:] + vs[:1], T.edge_table):
             assert v == sub(b, a)
-            assert fraction_lattice_length(a, b) == F(row[5] - row[4], table.denominator)
+            assert fraction_lattice_length(a, b) == F(row[5] - row[4], T.denominator)
 
 
 def test_lattice_length_examples():
     for P, length in ((T111, 3), (UNIT_SQUARE, 1)):
-        assert all(F(wb - wa, P.denominator) == length for _, _, _, _, wa, wb in P.edge_table.edges)
+        assert all(F(wb - wa, P.denominator) == length for _, _, _, _, wa, wb in P.edge_table)
     normals = [n for n, _ in facet_data(T111)]
     for k in range(3):
         assert edge_lattice_length_from_normals(normals, [1, 1, 1], k) == 3
