@@ -8,6 +8,10 @@ sort_keys=True)` plus a newline, written by a short recursive writer
 rather than the pure-Python encoder that `indent` selects.  The
 `certify` exit code distinguishes a pseudointegral polygon (0) from a
 rational one that is not (1) and from no verdict (2).
+
+The parser holds every flag rule: each integer flag's `type` checks its
+range, and `choices` and a required group fix `--b`, `--suite` and the
+one `vieta` mode; `main` makes each refusal one `error:` line and exit 2.
 """
 
 from __future__ import annotations
@@ -20,14 +24,14 @@ import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from . import __version__
 from .constructions import build
 from .ehrhart import CERTIFY_WORK_LIMIT, certify_work, is_pseudointegral
 from .exact import parse_integer
 from .polygon import RationalPolygon
-from .suites import SUITES
+from .suites import NVAR_BOUND, SUITES
 from .svg import render_svg
 from .vieta import VietaSolution, enumerate_reduced, family, is_vieta_reduced, jump_forest, search_cost
 
@@ -47,6 +51,29 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> NoReturn:
         raise UsageError(message)
+
+    def _print_message(self, message: str, file=None) -> None:
+        # argparse's own swallows an OSError; here it reaches `main`, as any failed write does
+        file = file or sys.stderr
+        file.write(message)
+        file.flush()
+
+
+def _integer(least: int | None = None, most: int | None = None, name: str = "") -> Callable[[str], int]:
+    """An argparse type: an integer in `parse_integer`'s grammar from `least` to the limit `name` = `most`."""
+
+    def read(text: str) -> int:
+        try:
+            value = parse_integer(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if least is not None and value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {name} = {most}, got {value}")
+        return value
+
+    return read
 
 
 # Largest search `verify` starts, in the work units of `vieta.search_cost`.
@@ -96,16 +123,9 @@ VIETA_DEPTH_LIMIT = 1000
 # 1.3 ms: the limit runs in about 1.3-1.5 s at 17 MB peak RSS (2-vCPU VM, Python 3.11).
 PROPERTIES_COUNT_LIMIT = 1000
 
-# The numeric flags each suite reads, each mapped to its least value and its
-# (name, most value) limit, None where VERIFY_SEARCH_LIMIT bounds the search;
-# any other numeric flag is refused.  A suite takes each flag as the keyword of
-# the same name, except nvar-bound, which folds --n and --bound into one case.
-_SUITE_FLAGS = {
-    "b-sweep": {"bound": (1, None)},
-    "nvar-bound": {"n": (2, None), "bound": (1, None)},
-    "family-grid": {"depth": (0, ("VIETA_DEPTH_LIMIT", VIETA_DEPTH_LIMIT))},
-    "properties": {"count": (1, ("PROPERTIES_COUNT_LIMIT", PROPERTIES_COUNT_LIMIT))},
-}
+# The flags each suite reads, each as the keyword of the same name; the parser
+# checks their values, and `verify` refuses any other flag.
+_SUITE_FLAGS = {"b-sweep": {"bound"}, "nvar-bound": {"n", "bound"}, "family-grid": {"depth"}, "properties": {"count"}}
 
 
 def _emit(payload: dict) -> None:
@@ -208,23 +228,16 @@ def _solutions_table(solutions) -> str:
 
 
 def _cmd_vieta(args: argparse.Namespace) -> int:
-    if not 1 <= args.b <= 9:
-        raise UsageError("--b must be in 1..9")
-    modes = [mode for mode in ("reduced", "forest", "family") if getattr(args, mode)]
-    if len(modes) != 1:
-        raise UsageError("choose exactly one of --reduced, --forest, --family")
+    mode = "reduced" if args.reduced else "forest" if args.forest else "family"
     # each mode reads only its own flags, as each `verify` suite does
     unread = (
-        "--max-z" if args.max_z is not None and not args.forest
-        else "--depth" if args.depth is not None and not args.family
-        else "--format table" if args.format == "table" and args.forest
+        "--max-z" if args.max_z is not None and mode != "forest"
+        else "--depth" if args.depth is not None and mode != "family"
+        else "--format table" if args.format == "table" and mode == "forest"
         else None
     )
     if unread:
-        raise UsageError(f"vieta --{modes[0]} does not read {unread}")
-    depth = 4 if args.depth is None else args.depth
-    if not 0 <= depth <= VIETA_DEPTH_LIMIT:
-        raise UsageError(f"--depth must be in 0..VIETA_DEPTH_LIMIT = {VIETA_DEPTH_LIMIT}, got {depth}")
+        raise UsageError(f"vieta --{mode} does not read {unread}")
     inputs: dict = {"b": args.b}
     if args.reduced:
         sols = enumerate_reduced(args.b)
@@ -235,8 +248,6 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
     elif args.forest:
         if args.max_z is None:
             raise UsageError("--forest requires --max-z")
-        if not 1 <= args.max_z <= VIETA_MAX_Z_LIMIT:
-            raise UsageError("--max-z must be in 1..VIETA_MAX_Z_LIMIT = 10**100")
         inputs["max_z"] = args.max_z
         forest = jump_forest(args.b, args.max_z)
         results = {
@@ -253,6 +264,7 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
             raise UsageError(f"bad --family seed: {exc}") from exc
         if seed.b != args.b or not is_vieta_reduced(seed):
             raise UsageError("--family seed must be a reduced solution for --b")
+        depth = 4 if args.depth is None else args.depth
         inputs |= {"seed": seed.triple(), "depth": depth}
         states = family(seed, depth)
         if args.format == "table":
@@ -286,35 +298,20 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite not in SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; known: {sorted(SUITES)}")
-    read = _SUITE_FLAGS.get(args.suite, {})
     given = {name: value for name in ("bound", "n", "depth", "count") if (value := getattr(args, name)) is not None}
-    for name, value in given.items():
-        if name not in read:
+    for name in given:
+        if name not in _SUITE_FLAGS.get(args.suite, ()):
             raise UsageError(f"suite {args.suite} does not read --{name}")
-        least, limit = read[name]
-        if value < least:
-            raise UsageError(f"--{name} must be at least {least}, got {value}")
-        if limit is not None and value > limit[1]:
-            raise UsageError(f"--{name} must be at most {limit[0]} = {limit[1]}, got {value}")
-    if args.suite == "nvar-bound" and args.bound is not None and args.n is None:
+    if args.suite == "nvar-bound" and "bound" in given and "n" not in given:
         raise UsageError("suite nvar-bound reads --bound only together with --n")
-    kwargs = {} if args.suite == "nvar-bound" else given
-    search = None
-    if args.suite == "b-sweep" and args.bound is not None:
-        search = (3, args.bound)
-    if args.suite == "nvar-bound" and args.n is not None:
-        bound = 40 if args.bound is None else args.bound
-        kwargs["cases"] = ((args.n, bound),)
-        search = (args.n, bound)
-    if search is not None and search_cost(*search) > VERIFY_SEARCH_LIMIT:
-        n, bound = search
-        raise UsageError(
-            f"a search over {n}-tuples with entries <= {bound} exceeds "
-            f"VERIFY_SEARCH_LIMIT = {VERIFY_SEARCH_LIMIT} units of work"
-        )
-    result = SUITES[args.suite](**kwargs)
+    if given.keys() & {"n", "bound"}:
+        n, bound = given.get("n", 3), given.get("bound", NVAR_BOUND)  # b-sweep searches triples
+        if search_cost(n, bound) > VERIFY_SEARCH_LIMIT:
+            raise UsageError(
+                f"a search over {n}-tuples with entries <= {bound} exceeds "
+                f"VERIFY_SEARCH_LIMIT = {VERIFY_SEARCH_LIMIT} units of work"
+            )
+    result = SUITES[args.suite](**given)
     for line in result.lines():
         print(line)
     print(f"suite {result.name}: {'pass' if result.passed else 'FAIL'}")
@@ -328,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact lattice geometry of rational polygons.",
     )
     parser.add_argument("--version", action="version", version=f"pipgeom {__version__}")
+    depth = _integer(0, VIETA_DEPTH_LIMIT, "VIETA_DEPTH_LIMIT")  # one range for vieta and verify
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="decide pseudointegrality of a polygon JSON file")
@@ -335,12 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("vieta", help="solution sets of b = (x+y+z)^2/(xyz)")
-    p.add_argument("--b", type=parse_integer, required=True)
-    p.add_argument("--reduced", action="store_true", help="list the reduced solutions")
-    p.add_argument("--forest", action="store_true", help="jump graph up to --max-z")
-    p.add_argument("--max-z", type=parse_integer, default=None)
-    p.add_argument("--family", metavar="X,Y,Z", help="grow the family from a reduced seed")
-    p.add_argument("--depth", type=parse_integer, default=None, help="family depth (default 4)")
+    p.add_argument("--b", type=_integer(), choices=range(1, 10), required=True)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--reduced", action="store_true", help="list the reduced solutions")
+    mode.add_argument("--forest", action="store_true", help="jump graph up to --max-z")
+    mode.add_argument("--family", metavar="X,Y,Z", help="grow the family from a reduced seed")
+    p.add_argument("--max-z", type=_integer(1, VIETA_MAX_Z_LIMIT, "VIETA_MAX_Z_LIMIT"))
+    p.add_argument("--depth", type=depth, help="family depth (default 4)")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=_cmd_vieta)
 
@@ -351,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True)
-    p.add_argument("--bound", type=parse_integer, default=None)
-    p.add_argument("--n", type=parse_integer, default=None)
-    p.add_argument("--depth", type=parse_integer, default=None)
-    p.add_argument("--count", type=parse_integer, default=None)
+    p.add_argument("--suite", choices=sorted(SUITES), required=True)
+    p.add_argument("--bound", type=_integer(1))
+    p.add_argument("--n", type=_integer(2))
+    p.add_argument("--depth", type=depth)
+    p.add_argument("--count", type=_integer(1, PROPERTIES_COUNT_LIMIT, "PROPERTIES_COUNT_LIMIT"))
     p.set_defaults(func=_cmd_verify)
     return parser
 
@@ -365,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
 
     Exit 2 means no verdict: a UsageError, argparse's own refusals among
     them, or output that cannot be written (a closed pipe, a full disk).
-    Only --help and --version exit from inside, with 0.
+    Only --help and --version exit from inside, with 0 once their text is written.
     """
     try:
         args = build_parser().parse_args(argv)

@@ -90,8 +90,13 @@ def suite_b_sweep(bound: int = 300) -> SuiteResult:
     return res
 
 
-def suite_nvar(cases: tuple[tuple[int, int], ...] = ((2, 50), (3, 200), (4, 40))) -> SuiteResult:
+# the entry bound of nvar-bound given n alone; without n it runs its three cases
+NVAR_BOUND = 40
+
+
+def suite_nvar(n: int | None = None, bound: int = NVAR_BOUND) -> SuiteResult:
     res = SuiteResult("nvar-bound")
+    cases = ((2, 50), (3, 200), (4, 40)) if n is None else ((n, bound),)
     for n, bound in cases:
         report = vieta.verify_general_bound(n, bound)
         res.add(

@@ -293,7 +293,7 @@ def test_vieta_depth_out_of_range_exit_two(depth, capsys, monkeypatch):
     assert main(["vieta", "--b", "9", "--family", "1,1,1", "--depth", str(depth)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"VIETA_DEPTH_LIMIT = {VIETA_DEPTH_LIMIT}" in captured.err
+    assert ("must be at least 0" if depth < 0 else f"VIETA_DEPTH_LIMIT = {VIETA_DEPTH_LIMIT}") in captured.err
 
 
 def test_vieta_every_seed_prints_at_depth_limit(capsys):
@@ -567,6 +567,15 @@ def test_verify_suite_flags_at_their_limit_run(suite, flag, name, limit, capsys,
     assert capsys.readouterr().out == f"suite {suite}: pass\n"
 
 
+@pytest.mark.parametrize("depth", ["-1", str(VIETA_DEPTH_LIMIT + 1)])
+def test_vieta_and_verify_refuse_a_depth_alike(depth):
+    vieta = _run_main(["vieta", "--b", "9", "--family", "1,1,1", "--depth", depth])
+    verify = _run_main(["verify", "--suite", "family-grid", "--depth", depth])
+    assert vieta[0] == verify[0] == 2
+    assert vieta[1] == verify[1] == ""
+    assert vieta[2] == verify[2]
+
+
 def test_verify_has_no_max_width_flag(capsys):
     assert main(["verify", "--suite", "family-grid", "--max-width", "5"]) == 2
     assert capsys.readouterr().out == ""
@@ -701,7 +710,7 @@ def test_vieta_forest_max_z_out_of_range_exit_two(max_z, capsys, monkeypatch):
     assert main(["vieta", "--b", "1", "--forest", "--max-z", str(max_z)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "VIETA_MAX_Z_LIMIT" in captured.err
+    assert ("must be at least 1" if max_z < 1 else "VIETA_MAX_Z_LIMIT") in captured.err
 
 
 def test_vieta_forest_at_the_max_z_limit_prints(capsys):
@@ -1083,6 +1092,8 @@ class _RefusingStdout(io.StringIO):
         ["certify", "{tmp}/octagon.json"],
         ["vieta", "--b", "1", "--reduced", "--format", "table"],
         ["verify", "--suite", "reduced-table"],
+        ["--help"],
+        ["--version"],
     ],
 )
 @pytest.mark.parametrize("method", ["write", "flush"])
@@ -1122,5 +1133,21 @@ def test_unwritable_output_exits_two_without_traceback(target, tmp_path):
             done = subprocess.run(command, stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
         finally:
             os.close(write)
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_help_into_a_full_disk_exits_two(unbuffered):
+    """--help is no verdict either when its text cannot be written."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(pipgeom.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "pipgeom.cli", "--help"]
+    with open("/dev/full", "w") as out:
+        done = subprocess.run(command, stdout=out, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
     assert done.returncode == 2
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
