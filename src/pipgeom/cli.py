@@ -9,9 +9,12 @@ rather than the pure-Python encoder that `indent` selects.  The
 `certify` exit code distinguishes a pseudointegral polygon (0) from a
 rational one that is not (1) and from no verdict (2).
 
-The parser holds every flag rule: each integer flag's `type` checks its
-range, and `choices` and a required group fix `--b`, `--suite` and the
-one `vieta` mode; `main` makes each refusal one `error:` line and exit 2.
+The parser holds every flag rule: each integer's `type`, alone or in the
+lists `construct --params` and `vieta --family`, checks its range, and
+`choices` and a required group fix `--b`, `--suite`, `--family` and the
+one `vieta` mode.  `_given` refuses a flag that the `vieta` mode or
+`verify` suite does not read, by the one table `_READS`.  `main` makes
+each refusal one `error:` line and exit 2.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, NoReturn
 
 from . import __version__
-from .constructions import build
+from .constructions import FAMILIES, build
 from .ehrhart import CERTIFY_WORK_LIMIT, certify_work, is_pseudointegral
 from .exact import parse_integer
 from .polygon import RationalPolygon
@@ -59,8 +62,10 @@ class _Parser(argparse.ArgumentParser):
         file.flush()
 
 
-def _integer(least: int | None = None, most: int | None = None, name: str = "") -> Callable[[str], int]:
-    """An argparse type: an integer in `parse_integer`'s grammar from `least` to the limit `name` = `most`."""
+def _integer(
+    least: int | None = None, most: int | None = None, name: str = "", digits: int | None = None
+) -> Callable[[str], int]:
+    """An argparse type: a `parse_integer` integer from `least` to the limit `name` = `most`, or of `digits` digits."""
 
     def read(text: str) -> int:
         try:
@@ -71,9 +76,23 @@ def _integer(least: int | None = None, most: int | None = None, name: str = "") 
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
         if most is not None and value > most:
             raise argparse.ArgumentTypeError(f"must be at most {name} = {most}, got {value}")
+        if digits is not None and abs(value) >= 10**digits:
+            raise argparse.ArgumentTypeError(f"must have at most {name} = {digits} digits")
         return value
 
     return read
+
+
+def _integers(read: Callable[[str], int], count: int | None = None) -> Callable[[str], tuple[int, ...]]:
+    """An argparse type: comma-separated entries, each read by `read`, exactly `count` of them when given."""
+
+    def read_all(text: str) -> tuple[int, ...]:
+        values = tuple(map(read, text.split(","))) if text else ()
+        if count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(f"needs {count} comma-separated integers, got {len(values)}")
+        return values
+
+    return read_all
 
 
 # Largest search `verify` starts, in the work units of `vieta.search_cost`.
@@ -91,6 +110,14 @@ VERIFY_SEARCH_LIMIT = 10**5
 CERTIFY_COORDINATE_DIGITS = 2000
 _COORDINATE_BOUND = 10**CERTIFY_COORDINATE_DIGITS
 
+# Most characters `certify` reads from a polygon file; it reads at most one
+# more, so a stream that never ends is refused too.  At the limit, 20,000 to
+# 34,000 small points are read, hulled and certified in 0.2-0.4 s at up to
+# 42 MB peak RSS; the slowest file found, 17,000 vertices on a parabola with
+# distinct prime-square denominators, takes 3-4 s, nearly all of it the lcm
+# that gives D, before the digit limit refuses it (2-vCPU VM, Python 3.11).
+CERTIFY_FILE_LIMIT = 500_000
+
 # Largest index `construct --family fibonacci` builds.  The triangle's
 # coordinates have numerators near 3 * F_{2j+1}, about 0.418 * j digits:
 # 4,181 at the limit, inside CPython's 4,300-digit int-to-str limit.
@@ -101,7 +128,6 @@ FIBONACCI_INDEX_LIMIT = 10**4
 # so no printed integer has more than 4,000 digits, inside CPython's 4,300-digit
 # int-to-str limit.  Fibonacci indices have their own, smaller limit.
 CONSTRUCT_PARAMETER_DIGITS = 2000
-_PARAMETER_BOUND = 10**CONSTRUCT_PARAMETER_DIGITS
 
 # Largest `vieta --forest --max-z`.  The forest grows with the square of the
 # number of digits of max-z; b = 1 grows fastest: at the limit it has 21,132
@@ -123,9 +149,24 @@ VIETA_DEPTH_LIMIT = 1000
 # 1.3 ms: the limit runs in about 1.3-1.5 s at 17 MB peak RSS (2-vCPU VM, Python 3.11).
 PROPERTIES_COUNT_LIMIT = 1000
 
-# The flags each suite reads, each as the keyword of the same name; the parser
-# checks their values, and `verify` refuses any other flag.
-_SUITE_FLAGS = {"b-sweep": {"bound"}, "nvar-bound": {"n", "bound"}, "family-grid": {"depth"}, "properties": {"count"}}
+# The flags each `vieta` mode and `verify` suite reads, by their `args` names;
+# the parser checks their values, `_given` refuses any other flag, and `verify`
+# calls each suite with its flags as the keywords of the same name.
+_READS = {
+    "vieta --reduced": {"format"}, "vieta --forest": {"max_z"}, "vieta --family": {"depth", "format"},
+    "verify --suite b-sweep": {"bound"}, "verify --suite nvar-bound": {"n", "bound"},
+    "verify --suite family-grid": {"depth"}, "verify --suite properties": {"count"},
+}
+
+
+def _given(args: argparse.Namespace, mode: str) -> dict:
+    """The flags of `_READS` set off their defaults (None, json for `--format`); `mode`, a key of it, must read each."""
+    flags = set().union(*_READS.values())
+    given = {flag: value for flag, value in vars(args).items() if flag in flags and value not in (None, "json")}
+    for flag, value in given.items():
+        if flag not in _READS.get(mode, ()):
+            raise UsageError(f"{mode} does not read --{flag.replace('_', '-')} {value}")
+    return given
 
 
 def _emit(payload: dict) -> None:
@@ -187,10 +228,12 @@ def _write_json(value, out: list[str], newline: str) -> None:
 def _cmd_certify(args: argparse.Namespace) -> int:
     try:
         with open(args.polygon_file) as fh:
-            data = json.load(fh)
-        P = RationalPolygon.from_json_dict(data)
+            text = fh.read(CERTIFY_FILE_LIMIT + 1)
+        if len(text) > CERTIFY_FILE_LIMIT:
+            raise UsageError(f"polygon file has more than CERTIFY_FILE_LIMIT = {CERTIFY_FILE_LIMIT} characters")
+        P = RationalPolygon.from_json_dict(json.loads(text))
     except RecursionError:
-        # json.load recurses once per level of nesting
+        # json.loads recurses once per level of nesting
         raise UsageError("cannot read polygon: JSON nested too deeply") from None
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read polygon: {exc}") from exc
@@ -229,15 +272,7 @@ def _solutions_table(solutions) -> str:
 
 def _cmd_vieta(args: argparse.Namespace) -> int:
     mode = "reduced" if args.reduced else "forest" if args.forest else "family"
-    # each mode reads only its own flags, as each `verify` suite does
-    unread = (
-        "--max-z" if args.max_z is not None and mode != "forest"
-        else "--depth" if args.depth is not None and mode != "family"
-        else "--format table" if args.format == "table" and mode == "forest"
-        else None
-    )
-    if unread:
-        raise UsageError(f"vieta --{mode} does not read {unread}")
+    given = _given(args, f"vieta --{mode}")
     inputs: dict = {"b": args.b}
     if args.reduced:
         sols = enumerate_reduced(args.b)
@@ -250,21 +285,15 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
             raise UsageError("--forest requires --max-z")
         inputs["max_z"] = args.max_z
         forest = jump_forest(args.b, args.max_z)
-        results = {
-            "forest": {
-                f"{s.x},{s.y},{s.z}": [f"{t.x},{t.y},{t.z}" for t in nbrs]
-                for s, nbrs in forest.items()
-            }
-        }
+        results = {"forest": {f"{s.x},{s.y},{s.z}": [f"{t.x},{t.y},{t.z}" for t in nbrs] for s, nbrs in forest.items()}}
     else:
         try:
-            x, y, z = (parse_integer(v) for v in args.family.split(","))
-            seed = VietaSolution.from_triple(x, y, z)
+            seed = VietaSolution.from_triple(*args.family)
         except ValueError as exc:
             raise UsageError(f"bad --family seed: {exc}") from exc
         if seed.b != args.b or not is_vieta_reduced(seed):
             raise UsageError("--family seed must be a reduced solution for --b")
-        depth = 4 if args.depth is None else args.depth
+        depth = given.get("depth", 4)
         inputs |= {"seed": seed.triple(), "depth": depth}
         states = family(seed, depth)
         if args.format == "table":
@@ -277,14 +306,9 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     try:
-        params = tuple(parse_integer(v) for v in args.params.split(",")) if args.params else ()
-        if any(abs(p) >= _PARAMETER_BOUND for p in params):
-            raise UsageError(
-                f"parameters must have at most CONSTRUCT_PARAMETER_DIGITS = {CONSTRUCT_PARAMETER_DIGITS} digits"
-            )
-        if args.family == "fibonacci" and max(params, default=0) > FIBONACCI_INDEX_LIMIT:
+        if args.family == "fibonacci" and max(args.params, default=0) > FIBONACCI_INDEX_LIMIT:
             raise UsageError(f"index must be at most FIBONACCI_INDEX_LIMIT = {FIBONACCI_INDEX_LIMIT}")
-        P = build(args.family, params)
+        P = build(args.family, args.params)
         if args.svg:
             # render_svg refuses an oversized grid when called, before the file is opened
             lines = render_svg(P)
@@ -298,10 +322,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    given = {name: value for name in ("bound", "n", "depth", "count") if (value := getattr(args, name)) is not None}
-    for name in given:
-        if name not in _SUITE_FLAGS.get(args.suite, ()):
-            raise UsageError(f"suite {args.suite} does not read --{name}")
+    given = _given(args, f"verify --suite {args.suite}")
     if args.suite == "nvar-bound" and "bound" in given and "n" not in given:
         raise UsageError("suite nvar-bound reads --bound only together with --n")
     if given.keys() & {"n", "bound"}:
@@ -337,15 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--reduced", action="store_true", help="list the reduced solutions")
     mode.add_argument("--forest", action="store_true", help="jump graph up to --max-z")
-    mode.add_argument("--family", metavar="X,Y,Z", help="grow the family from a reduced seed")
+    seed = _integers(_integer(), 3)
+    mode.add_argument("--family", metavar="X,Y,Z", type=seed, help="grow the family from a reduced seed")
     p.add_argument("--max-z", type=_integer(1, VIETA_MAX_Z_LIMIT, "VIETA_MAX_Z_LIMIT"))
     p.add_argument("--depth", type=depth, help="family depth (default 4)")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=_cmd_vieta)
 
     p = sub.add_parser("construct", help="emit a polygon from a named family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--params", default="", help="comma-separated integer parameters")
+    p.add_argument("--family", choices=sorted(FAMILIES), required=True)
+    params = _integer(name="CONSTRUCT_PARAMETER_DIGITS", digits=CONSTRUCT_PARAMETER_DIGITS)
+    p.add_argument("--params", type=_integers(params), default=(), help="comma-separated integer parameters")
     p.add_argument("--svg", metavar="PATH", help="also render the polygon as SVG")
     p.set_defaults(func=_cmd_construct)
 

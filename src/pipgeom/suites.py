@@ -116,6 +116,12 @@ def suite_nvar(n: int | None = None, bound: int = NVAR_BOUND) -> SuiteResult:
     return res
 
 
+def _profile(P: RationalPolygon) -> tuple[int | None, int | None]:
+    """The certified (interior, boundary) of P; (None, None) when P is not a PIP."""
+    cert = ehrhart.is_pseudointegral(P)
+    return cert.interior, cert.boundary
+
+
 def suite_family_grid(depth: int = 4) -> SuiteResult:
     """Certify the solution triangle of every family state up to `depth`.
 
@@ -133,12 +139,8 @@ def suite_family_grid(depth: int = 4) -> SuiteResult:
             if work > ehrhart.CERTIFY_WORK_LIMIT:
                 res.add(label + " [skipped]", True, f"work {work} exceeds CERTIFY_WORK_LIMIT")
                 continue
-            cert = ehrhart.is_pseudointegral(T)
-            res.add(
-                label,
-                cert.is_pip and cert.interior == 1 and cert.boundary == seed.b,
-                f"profile ({cert.interior}, {cert.boundary})",
-            )
+            profile = _profile(T)
+            res.add(label, profile == (1, seed.b), f"profile {profile}")
     return res
 
 
@@ -162,12 +164,7 @@ def suite_fibonacci() -> SuiteResult:
         T = constructions.fibonacci_triangle(j)
         dens.append(T.denominator)
         if j <= depth:
-            cert = ehrhart.is_pseudointegral(T)
-            res.add(
-                f"triangle j={j} certifies (1, 9)",
-                cert.is_pip and (cert.interior, cert.boundary) == (1, 9),
-                f"denominator {T.denominator}",
-            )
+            res.add(f"triangle j={j} certifies (1, 9)", _profile(T) == (1, 9), f"denominator {T.denominator}")
             # the solution triangle worked out by hand from Fibonacci ratios
             fm, fp = constructions.fibonacci(2 * j - 1), constructions.fibonacci(2 * j + 1)
             r = Fraction(3 * fm, fp)
@@ -188,12 +185,7 @@ def suite_denominator_grid() -> SuiteResult:
         for i in range(1, 7):
             for b in range(2, slope * i + intercept + 1):
                 P = constructions.construct_pip(d, i, b)
-                cert = ehrhart.is_pseudointegral(P)
-                ok = (
-                    cert.is_pip
-                    and (cert.interior, cert.boundary) == (i, b)
-                    and P.denominator == d
-                )
+                ok = _profile(P) == (i, b) and P.denominator == d
                 count += 1
                 if not ok and all_ok:
                     all_ok, first_bad = False, f"first failure at (i={i}, b={b})"
@@ -258,16 +250,8 @@ def suite_reflexive() -> SuiteResult:
 def suite_small_boundary(i_max: int = 5) -> SuiteResult:
     res = SuiteResult("small-boundary")
     for i in range(1, i_max + 1):
-        c1 = ehrhart.is_pseudointegral(constructions.example_pip_b1(i))
-        res.add(
-            f"one-boundary-point triangle certifies ({i}, 1)",
-            c1.is_pip and (c1.interior, c1.boundary) == (i, 1),
-        )
-        c2 = ehrhart.is_pseudointegral(constructions.example_pip_b2(i))
-        res.add(
-            f"two-boundary-point triangle certifies ({i}, 2)",
-            c2.is_pip and (c2.interior, c2.boundary) == (i, 2),
-        )
+        for b, word, example in ((1, "one", constructions.example_pip_b1), (2, "two", constructions.example_pip_b2)):
+            res.add(f"{word}-boundary-point triangle certifies ({i}, {b})", _profile(example(i)) == (i, b))
     res.add(
         "integral polygons never admit b in {1, 2}",
         all(

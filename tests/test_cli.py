@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import pipgeom
 from pipgeom.cli import (
     CERTIFY_COORDINATE_DIGITS,
+    CERTIFY_FILE_LIMIT,
     CERTIFY_WORK_LIMIT,
     CONSTRUCT_PARAMETER_DIGITS,
     FIBONACCI_INDEX_LIMIT,
@@ -26,7 +27,9 @@ from pipgeom.cli import (
     VERIFY_SEARCH_LIMIT,
     VIETA_DEPTH_LIMIT,
     VIETA_MAX_Z_LIMIT,
+    UsageError,
     _emit,
+    build_parser,
     main,
 )
 from pipgeom.constructions import _PIP_RANGES, FAMILIES, construct_pip, fibonacci_triangle, octagon_empty_boundary
@@ -262,6 +265,12 @@ def test_vieta_refuses_flags_the_mode_does_not_read(argv, flag, capsys):
     assert f"does not read {flag}" in captured.err
 
 
+@pytest.mark.parametrize("seed", ["1,1", "1,1,1,1", "", "1,,1"])
+def test_parser_refuses_a_vieta_seed_that_is_not_three_integers(seed):
+    with pytest.raises(UsageError, match="argument --family"):
+        build_parser().parse_args(["vieta", "--b", "9", "--family", seed])
+
+
 @pytest.mark.parametrize("seed", ["0_1,1,1", "\u0661,1,1", "1/1,1,1"])
 def test_vieta_family_seed_takes_certify_integers(seed, capsys):
     assert main(["vieta", "--b", "9", "--family", seed]) == 2
@@ -320,6 +329,25 @@ def test_construct_errors_name_the_violated_inequality(capsys):
     assert main(["construct", "--family", "t-xyz", "--params", "4,5,81"]) == 2
     assert "divisibility" in capsys.readouterr().err
     assert main(["construct", "--family", "nope", "--params", "1"]) == 2
+
+
+def test_construct_help_lists_every_family(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in FAMILIES)
+
+
+def test_construct_refuses_an_unknown_family_before_building(capsys, monkeypatch):
+    def construction_started(*args):
+        raise AssertionError("construction started")
+
+    monkeypatch.setattr("pipgeom.cli.build", construction_started)
+    assert main(["construct", "--family", "nope", "--params", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "invalid choice: 'nope'" in captured.err
 
 
 def test_construct_all_reflexive_entries(capsys):
@@ -604,6 +632,24 @@ def test_certify_refuses_oversized_coordinates_up_front(vertices, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"CERTIFY_COORDINATE_DIGITS = {CERTIFY_COORDINATE_DIGITS}" in captured.err
+
+
+def test_certify_reads_a_file_up_to_the_limit(tmp_path, capsys, monkeypatch):
+    def certification_started(P):
+        raise AssertionError("certification started")
+
+    text = json.dumps(fibonacci_triangle(1).to_json_dict())
+    path = tmp_path / "padded.json"
+    path.write_text(text.ljust(CERTIFY_FILE_LIMIT))
+    assert main(["certify", str(path)]) == 0
+    assert capsys.readouterr().out == _certify_stdout(tmp_path, fibonacci_triangle(1), capsys)
+    monkeypatch.setattr("pipgeom.cli.is_pseudointegral", certification_started)
+    path.write_text(text.ljust(CERTIFY_FILE_LIMIT + 1))
+    assert main(["certify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert f"CERTIFY_FILE_LIMIT = {CERTIFY_FILE_LIMIT}" in captured.err
 
 
 def test_certify_coordinates_at_the_digit_limit_print(tmp_path, capsys):
@@ -1024,6 +1070,8 @@ def test_construct_fuzz_argv_exit_codes(tmp_path, case):
         ["vieta", "--b", "0_9", "--reduced"],
         ["verify", "--suite", "family-grid", "--max-width", "5"],
         ["frobnicate"],
+        # a stream that never ends, refused at CERTIFY_FILE_LIMIT
+        ["certify", "/dev/zero"],
     ],
 )
 def test_refusal_writes_one_error_line_and_no_timing(argv, tmp_path):
