@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -113,9 +114,9 @@ _COORDINATE_BOUND = 10**CERTIFY_COORDINATE_DIGITS
 # Most characters `certify` reads from a polygon file; it reads at most one
 # more, so a stream that never ends is refused too.  At the limit, 20,000 to
 # 34,000 small points are read, hulled and certified in 0.2-0.4 s at up to
-# 42 MB peak RSS; the slowest file found, 17,000 vertices on a parabola with
-# distinct prime-square denominators, takes 3-4 s, nearly all of it the lcm
-# that gives D, before the digit limit refuses it (2-vCPU VM, Python 3.11).
+# 42 MB peak RSS; 17,000 vertices on a parabola with distinct prime-square
+# denominators are refused by the digit limit in 0.2 s, as the lcm that gives D
+# stops once it passes the limit (2-vCPU VM, Python 3.11).
 CERTIFY_FILE_LIMIT = 500_000
 
 # Largest index `construct --family fibonacci` builds.  The triangle's
@@ -237,15 +238,20 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise UsageError("cannot read polygon: JSON nested too deeply") from None
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read polygon: {exc}") from exc
-    # a D too long to print is refused under the digit limit, and D * P is
-    # built only once D is within the work limit
-    work = certify_work(P)
-    if work > CERTIFY_WORK_LIMIT and P.denominator < _COORDINATE_BOUND:
+    # a D too long to print is refused under the digit limit as soon as the
+    # running lcm of the vertex denominators reaches it, and D * P is built
+    # only once D is within the work limit
+    D = 1
+    for _, _, d in P.homogeneous:
+        D = math.lcm(D, d)
+        if D >= _COORDINATE_BOUND:
+            break
+    if D < _COORDINATE_BOUND and (work := certify_work(P)) > CERTIFY_WORK_LIMIT:
         raise UsageError(
-            f"denominator {P.denominator} times {len(P.homogeneous)} edges is {work}, "
+            f"denominator {D} times {len(P.homogeneous)} edges is {work}, "
             f"over CERTIFY_WORK_LIMIT = {CERTIFY_WORK_LIMIT}"
         )
-    if P.denominator >= _COORDINATE_BOUND or any(
+    if D >= _COORDINATE_BOUND or any(
         abs(c) >= _COORDINATE_BOUND for xy in P.scaled_vertices for c in xy
     ):
         raise UsageError(

@@ -41,7 +41,7 @@ build one and count a single dilate with it.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .polygon import RationalPolygon
 

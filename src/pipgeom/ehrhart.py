@@ -32,7 +32,7 @@ direct counts there (see `is_pseudointegral`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -57,8 +57,7 @@ class CountingConsistencyError(RuntimeError):
     """Internal cross-check failed; signals a counting bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(namedtuple("QuasiPolynomial", "period numerators scale")):
     """Degree-2 quasipolynomial: one triple per residue class.
 
     Residue r has the coefficients (c0, c1, c2) = (K0, K1, K2) / scale
@@ -68,13 +67,12 @@ class QuasiPolynomial:
     objects only when they share the scale.
     """
 
-    period: int
-    numerators: tuple[tuple[int, int, int], ...]
-    scale: int
+    # no __slots__: the cached `coeffs` view lives in the instance __dict__
 
-    def __post_init__(self) -> None:
-        if self.period < 1 or len(self.numerators) != self.period or self.scale < 1:
+    def __new__(cls, period: int, numerators: tuple[tuple[int, int, int], ...], scale: int) -> "QuasiPolynomial":
+        if period < 1 or len(numerators) != period or scale < 1:
             raise ValueError("need one coefficient triple per residue class and a positive scale")
+        return tuple.__new__(cls, (period, numerators, scale))
 
     @cached_property
     def coeffs(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
@@ -182,20 +180,17 @@ def reconstruct_quasipolynomial(P: RationalPolygon) -> QuasiPolynomial:
     return QuasiPolynomial(D, tuple(triples), scale)
 
 
-@dataclass(frozen=True)
-class PipCertificate:
+class PipCertificate(
+    namedtuple("PipCertificate", "is_pip ehrhart interior boundary witness_residues", defaults=(None, None, None))
+):
     """Outcome of the pseudointegrality decision for one polygon.
 
-    `interior`/`boundary` are set exactly when `is_pip`; for non-PIPs
-    `witness_residues` names two residue classes whose coefficient
-    triples differ.
+    `ehrhart` is the `QuasiPolynomial`.  `interior`/`boundary` are set
+    exactly when `is_pip`; for non-PIPs `witness_residues` names two
+    residue classes whose coefficient triples differ.
     """
 
-    is_pip: bool
-    ehrhart: QuasiPolynomial
-    interior: int | None = None
-    boundary: int | None = None
-    witness_residues: tuple[int, int] | None = None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out = {"is_pip": self.is_pip}

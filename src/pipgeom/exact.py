@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 Scalar = int | Fraction
@@ -69,17 +69,16 @@ def parse_integer(s: str) -> int:
     return int(m.group(1))
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """Point or vector in the rational plane."""
+class Vec2(namedtuple("Vec2", "x y")):
+    """Point or vector in the rational plane, with `Fraction` coordinates."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ()
 
-    def __init__(self, x: Scalar, y: Scalar) -> None:
+    def __new__(cls, x: Scalar, y: Scalar) -> "Vec2":
         # a Fraction is kept as it is: it is already in lowest terms
-        object.__setattr__(self, "x", x if type(x) is Fraction else Fraction(x))
-        object.__setattr__(self, "y", y if type(y) is Fraction else Fraction(y))
+        x = x if type(x) is Fraction else Fraction(x)
+        y = y if type(y) is Fraction else Fraction(y)
+        return tuple.__new__(cls, (x, y))
 
     @property
     def is_integral(self) -> bool:
@@ -89,14 +88,10 @@ class Vec2:
         return f"({format_rational(self.x)}, {format_rational(self.y)})"
 
 
-@dataclass(frozen=True)
-class IntMat2:
+class IntMat2(namedtuple("IntMat2", "a b c d")):
     """2x2 integer matrix, rows (a, b) and (c, d)."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -118,17 +113,16 @@ class IntMat2:
         return cls(1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(namedtuple("AffineMap", "linear translate")):
     """Integer affine map p -> linear @ p + translate.
 
     With a unimodular linear part this is a lattice automorphism and
     preserves all lattice-point counts.
     """
 
-    linear: IntMat2
-    translate: Vec2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.translate.is_integral:
+    def __new__(cls, linear: IntMat2, translate: Vec2) -> "AffineMap":
+        if not translate.is_integral:
             raise ValueError("translation part must be integral")
+        return tuple.__new__(cls, (linear, translate))

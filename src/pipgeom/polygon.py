@@ -21,9 +21,9 @@ and `boundary_points` lists the lattice points on each half-open edge
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from typing import Iterable, Sequence
 
 from .exact import AffineMap, Scalar, Vec2, format_quotient, parse_rational
 
@@ -268,7 +268,7 @@ def hull(points: Iterable[Vec2 | tuple[Scalar, Scalar]]) -> RationalPolygon:
     edges are absorbed.  Raises :class:`DegenerateHullError` when the
     points do not span dimension 2.
     """
-    vs = [p if isinstance(p, Vec2) else Vec2(*p) for p in points]
+    vs = [Vec2(*p) for p in points]
     return _hull([_homogeneous(v.x.numerator, v.x.denominator, v.y.numerator, v.y.denominator) for v in vs])
 
 

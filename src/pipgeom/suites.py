@@ -8,7 +8,6 @@ fixed seed so reports are byte-deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import constructions, counting, ehrhart, polygon, vieta
@@ -17,10 +16,12 @@ from .polygon import RationalPolygon, edge_lattice_length_from_normals, hull, tr
 from .vieta import VietaSolution
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    """The checks of one suite run: (label, ok, detail) each, in the order made."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.checks: list[tuple[str, bool, str]] = []
 
     def add(self, label: str, ok: bool, detail: str = "") -> None:
         self.checks.append((label, bool(ok), detail))

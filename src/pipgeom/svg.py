@@ -9,8 +9,8 @@ feeds back into the geometry.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .polygon import RationalPolygon
 

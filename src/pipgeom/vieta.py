@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement
 
 
@@ -32,20 +32,20 @@ def is_solution(*entries: int) -> int | None:
     return (s * s) // p
 
 
-@dataclass(frozen=True, order=True)
-class VietaSolution:
-    """Sorted positive triple with its b-value; (x+y+z)^2 = b*x*y*z."""
+class VietaSolution(namedtuple("VietaSolution", "x y z b")):
+    """Sorted positive triple with its b-value; (x+y+z)^2 = b*x*y*z.
 
-    x: int
-    y: int
-    z: int
-    b: int
+    Solutions compare as the tuples (x, y, z, b).
+    """
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.x <= self.y <= self.z):
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int, z: int, b: int) -> "VietaSolution":
+        if not (1 <= x <= y <= z):
             raise ValueError("solution entries must be positive and sorted")
-        if (self.x + self.y + self.z) ** 2 != self.b * self.x * self.y * self.z:
-            raise ValueError(f"({self.x},{self.y},{self.z}) is not a solution for b={self.b}")
+        if (x + y + z) ** 2 != b * x * y * z:
+            raise ValueError(f"({x},{y},{z}) is not a solution for b={b}")
+        return tuple.__new__(cls, (x, y, z, b))
 
     @classmethod
     def from_triple(cls, x: int, y: int, z: int) -> "VietaSolution":
@@ -169,15 +169,10 @@ def jump_forest(b: int, max_z: int) -> dict[VietaSolution, tuple[VietaSolution, 
     return {s: tuple([nodes[u] for u in sorted(adjacency[t])]) for t, s in nodes.items()}
 
 
-@dataclass(frozen=True)
-class FamilyState:
-    """State s_j = (x, y_j, z_j) of the recursively generated family."""
+class FamilyState(namedtuple("FamilyState", "seed j x y z")):
+    """State s_j = (x, y_j, z_j) of the recursively generated family from `seed`."""
 
-    seed: VietaSolution
-    j: int
-    x: int
-    y: int
-    z: int
+    __slots__ = ()
 
     def solution(self) -> VietaSolution:
         return VietaSolution(*sorted((self.x, self.y, self.z)), self.seed.b)
@@ -323,19 +318,18 @@ def solution_b_sweep(bound: int) -> dict[int, tuple[int, int, int]]:
 # --- n-variable generalization -------------------------------------------
 
 
-@dataclass(frozen=True)
-class NTuple:
-    """Sorted positive n-tuple with (sum)^2 = b * product."""
+class NTuple(namedtuple("NTuple", "values b")):
+    """Sorted positive n-tuple `values` with (sum)^2 = b * product."""
 
-    values: tuple[int, ...]
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.values) < 2 or list(self.values) != sorted(self.values) or self.values[0] < 1:
+    def __new__(cls, values: tuple[int, ...], b: int) -> "NTuple":
+        if len(values) < 2 or list(values) != sorted(values) or values[0] < 1:
             raise ValueError("values must be a sorted positive tuple with n >= 2")
-        s = sum(self.values)
-        if s * s != self.b * math.prod(self.values):
-            raise ValueError(f"{self.values} is not a solution for b={self.b}")
+        s = sum(values)
+        if s * s != b * math.prod(values):
+            raise ValueError(f"{values} is not a solution for b={b}")
+        return tuple.__new__(cls, (values, b))
 
 
 def reduce_tuple(t: NTuple) -> NTuple:
@@ -353,12 +347,8 @@ def reduce_tuple(t: NTuple) -> NTuple:
     return NTuple(values, b)
 
 
-@dataclass(frozen=True)
-class GeneralBoundReport:
-    solutions: tuple[NTuple, ...]
-    max_b: int
-    b_values: frozenset[int]
-    all_reduce: bool
+# solutions: tuple of NTuple; max_b: int; b_values: frozenset of int; all_reduce: bool
+GeneralBoundReport = namedtuple("GeneralBoundReport", "solutions max_b b_values all_reduce")
 
 
 def verify_general_bound(n: int, search_bound: int) -> GeneralBoundReport:

@@ -835,6 +835,32 @@ def test_certify_vertices_with_distinct_denominators_refused_fast(tmp_path, caps
     assert elapsed < 5.0
 
 
+def test_certify_refuses_a_long_denominator_before_the_full_lcm(tmp_path, capsys, monkeypatch):
+    # 16,933 vertices (1/p, 1/p^2) on the parabola y = x^2, p prime, fill the file
+    # limit; the lcm of all their denominators took over 3 s, but its running
+    # value passes the digit limit after a few hundred of them
+    def started(*args):
+        raise AssertionError("the full lcm or the certification started")
+
+    monkeypatch.setattr("pipgeom.cli.is_pseudointegral", started)
+    monkeypatch.setattr(RationalPolygon, "denominator", property(started))
+    sieve = bytearray([1]) * 190_000
+    for k in range(2, 436):
+        if sieve[k]:
+            sieve[k * k :: k] = bytes(len(range(k * k, len(sieve), k)))
+    primes = [p for p in range(2, len(sieve)) if sieve[p]][:16_933]
+    path = tmp_path / "parabola.json"
+    path.write_text(json.dumps({"vertices": [[f"1/{p}", f"1/{p * p}"] for p in primes]}))
+    assert path.stat().st_size == 498_976 <= CERTIFY_FILE_LIMIT
+    assert main(["certify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the denominator D or a vertex coordinate of D * P has more than "
+        f"CERTIFY_COORDINATE_DIGITS = {CERTIFY_COORDINATE_DIGITS} digits\n"
+    )
+
+
 def _certify_stdout(tmp_path, P, capsys):
     main(["certify", write_polygon(tmp_path, P, "reference.json")])
     return capsys.readouterr().out
