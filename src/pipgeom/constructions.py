@@ -3,7 +3,10 @@
 Each generator returns a canonical :class:`RationalPolygon` and makes
 no claim beyond its construction: the advertised (interior, boundary)
 profile of every instance is established downstream by certification,
-never assumed.
+never assumed.  Every family is written on integers: its points as
+reduced triples (X, Y, d) for (X/d, Y/d), or integer pairs when it is
+integral, handed to the hull, or its facets as primitive integer
+normals and offsets handed to `RationalPolygon.from_facets`.
 
 Families
 --------
@@ -26,10 +29,8 @@ p3 / p4 / p10       denominator-3/4/10 polygons realizing (i, b) up to
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
-from .exact import Vec2
-from .polygon import RationalPolygon, hull
+from .polygon import RationalPolygon, _hull, hull
 from .vieta import VietaSolution
 
 
@@ -85,26 +86,14 @@ def example_pip_b1(i: int) -> RationalPolygon:
     if i < 1:
         raise ValueError("i must be >= 1")
     d = 2 * i + 1
-    return hull(
-        [
-            Vec2(i, 0),
-            Vec2(Fraction(-2 * i, d), Fraction(2 * i - 1, d)),
-            Vec2(Fraction(-1, d), Fraction(-(2 * i - 1), d)),
-        ]
-    )
+    return _hull([(i, 0, 1), (-2 * i, 2 * i - 1, d), (-1, 1 - 2 * i, d)])
 
 
 def example_pip_b2(i: int) -> RationalPolygon:
     """Triangle with i interior lattice points and two boundary points."""
     if i < 1:
         raise ValueError("i must be >= 1")
-    return hull(
-        [
-            Vec2(i, 0),
-            Vec2(-1, Fraction(i, i + 1)),
-            Vec2(-1, Fraction(-i, i + 1)),
-        ]
-    )
+    return _hull([(i, 0, 1), (-i - 1, i, i + 1), (-i - 1, -i, i + 1)])
 
 
 # --- solution triangles -----------------------------------------------------
@@ -160,16 +149,16 @@ def scott_grid_polygon(i: int, b: int) -> RationalPolygon:
             "require i >= 1 and 3 <= b <= (9 if i == 1 else 2*i + 6)"
         )
     if i == 1 and b == 9:
-        return hull([Vec2(-1, -1), Vec2(2, -1), Vec2(-1, 2)])
+        return hull([(-1, -1), (2, -1), (-1, 2)])
     if b == 2 * i + 6:
-        return hull([Vec2(0, 0), Vec2(i + 1, 0), Vec2(i + 1, 2), Vec2(0, 2)])
+        return hull([(0, 0), (i + 1, 0), (i + 1, 2), (0, 2)])
     if b == 2 * i + 5:
-        return hull([Vec2(0, 0), Vec2(i + 1, 0), Vec2(i + 1, 1), Vec2(i, 2), Vec2(0, 2)])
+        return hull([(0, 0), (i + 1, 0), (i + 1, 1), (i, 2), (0, 2)])
     if b <= 2 * i + 2:
         a, c = 2 * i - b + 3, b - 3
     else:  # b in {2i+3, 2i+4}
         a, c = 2 * i - b + 5, b - 4
-    return hull([Vec2(0, 0), Vec2(1, -1), Vec2(a + c, 1), Vec2(a, 1)])
+    return hull([(0, 0), (1, -1), (a + c, 1), (a, 1)])
 
 
 # --- fixed-denominator constructions ----------------------------------------
@@ -192,32 +181,14 @@ def construct_pip(d: int, i: int, b: int) -> RationalPolygon:
     slope, intercept = _PIP_RANGES[d]
     if not 2 <= b <= slope * i + intercept:
         raise ValueError(f"2 <= b <= {slope}*i + {intercept} violated for (i={i}, b={b})")
+    # each point (X, Y, e) stands for (X/e, Y/e) and is reduced: e is prime to X or to Y
     if d == 3:
-        pts = [
-            Vec2(i, 0),
-            Vec2(0, Fraction(1, 3)),
-            Vec2(-2, -1),
-            Vec2(b - 4, -1),
-            Vec2(i + Fraction(2 * (b - 5), 3), Fraction(-2, 3)),
-        ]
+        pts = [(i, 0, 1), (0, 1, 3), (-2, -1, 1), (b - 4, -1, 1), (3 * i + 2 * (b - 5), -2, 3)]
     elif d == 4:
-        pts = [
-            Vec2(i, 0),
-            Vec2(0, Fraction(1, 4)),
-            Vec2(-1, Fraction(-1, 2)),
-            Vec2(-1, -1),
-            Vec2(b - 3, -1),
-            Vec2(i + Fraction(3 * (b - 4), 4), Fraction(-3, 4)),
-        ]
+        pts = [(i, 0, 1), (0, 1, 4), (-2, -1, 2), (-1, -1, 1), (b - 3, -1, 1), (4 * i + 3 * (b - 4), -3, 4)]
     else:
-        pts = [
-            Vec2(i, 0),
-            Vec2(0, Fraction(1, 5)),
-            Vec2(Fraction(-3, 2), -1),
-            Vec2(b - 3, -1),
-            Vec2(i + Fraction(4 * (b - 4), 5), Fraction(-4, 5)),
-        ]
-    return hull(pts)
+        pts = [(i, 0, 1), (0, 1, 5), (-3, -2, 2), (b - 3, -1, 1), (5 * i + 4 * (b - 4), -4, 5)]
+    return _hull(pts)
 
 
 # --- boundary-behaviour counterexamples --------------------------------------
@@ -227,21 +198,15 @@ def fourgon_distance_two() -> RationalPolygon:
     """Quadrilateral {|2x| + |3y| <= 2}: origin is its only interior
     lattice point, yet every edge sits at lattice distance 2 from it.
     Not pseudointegral."""
-    third = Fraction(2, 3)
-    return hull([Vec2(1, 0), Vec2(0, third), Vec2(-1, 0), Vec2(0, -third)])
+    return RationalPolygon.from_facets([(2, -3), (2, 3), (-2, 3), (-2, -3)], [2] * 4)
 
 
 def octagon_empty_boundary() -> RationalPolygon:
     """Octagon {|x| + 2|y| <= 1, 2|x| + |y| <= 1}: integral dual, all
     edges at lattice distance 1, but no lattice point on the boundary,
     so it cannot be pseudointegral."""
-    h, t = Fraction(1, 2), Fraction(1, 3)
-    return hull(
-        [
-            Vec2(h, 0), Vec2(t, t), Vec2(0, h), Vec2(-t, t),
-            Vec2(-h, 0), Vec2(-t, -t), Vec2(0, -h), Vec2(t, -t),
-        ]
-    )
+    normals = [(1, -2), (2, -1), (2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2)]
+    return RationalPolygon.from_facets(normals, [1] * 8)
 
 
 # --- CLI dispatch -------------------------------------------------------------

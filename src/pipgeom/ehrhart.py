@@ -32,6 +32,7 @@ direct counts there (see `is_pseudointegral`).
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
@@ -97,14 +98,18 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "period numerators scale")):
         return all(key == first for key in self.numerators)
 
     def collapse(self) -> "QuasiPolynomial":
-        """Period-1 form when all residue triples agree, otherwise self.
+        """The same quasipolynomial over its minimal period, or self when that is the period.
 
-        This is not a minimal-period search; only the fully degenerate
-        (polynomial) case collapses.
+        The minimal period is the least p dividing the period with
+        numerators[r] == numerators[r % p] for every r; the periods that
+        divide it are closed under gcd, so the least is the minimal one.
+        The divisors are found by trial division up to its square root.
         """
-        if self.period > 1 and self.is_polynomial:
-            return QuasiPolynomial(1, self.numerators[:1], self.scale)
-        return self
+        D, keys = self.period, self.numerators
+        low = [p for p in range(1, math.isqrt(D) + 1) if D % p == 0]
+        for p in low + [D // p for p in reversed(low)]:
+            if all(keys[r] == keys[r % p] for r in range(p, D)):
+                return self if p == D else QuasiPolynomial(p, keys[:p], self.scale)
 
     def to_json_dict(self) -> dict:
         """Each coefficient written from its numerator over the scale, with one gcd."""
@@ -185,9 +190,10 @@ class PipCertificate(
 ):
     """Outcome of the pseudointegrality decision for one polygon.
 
-    `ehrhart` is the `QuasiPolynomial`.  `interior`/`boundary` are set
-    exactly when `is_pip`; for non-PIPs `witness_residues` names two
-    residue classes whose coefficient triples differ.
+    `ehrhart` is the `QuasiPolynomial` over its minimal period.
+    `interior`/`boundary` are set exactly when `is_pip`; for non-PIPs
+    `witness_residues` names two residue classes, both below that period,
+    whose coefficient triples differ.
     """
 
     __slots__ = ()
@@ -207,8 +213,11 @@ def is_pseudointegral(P: RationalPolygon) -> PipCertificate:
     """Decide whether the count function of P is a polynomial.
 
     True exactly when all residue coefficient triples of the
-    reconstructed quasipolynomial coincide.  Otherwise the witness is
-    residue 0 and the first residue whose triple differs; when that
+    reconstructed quasipolynomial coincide, that is when its minimal
+    period (`QuasiPolynomial.collapse`) is 1; the certificate holds the
+    collapsed quasipolynomial.  Otherwise the witness is residue 0 and
+    the first residue whose triple differs, which lies below the minimal
+    period, as every later triple repeats one below it; when that
     residue was fitted from its mirror's interior counts, its four totals
     are counted as well and must give the same triple, so both named
     residues are counted ones.
@@ -223,11 +232,12 @@ def is_pseudointegral(P: RationalPolygon) -> PipCertificate:
     i = total(1) - b hold by construction; a boundary count corrupted at
     t = 1 fails the fourth-sample check of that interior fit instead.
     """
-    qp = reconstruct_quasipolynomial(P)
-    if not qp.is_polynomial:
+    full = reconstruct_quasipolynomial(P)
+    qp = full.collapse()
+    if qp.period > 1:
         first = qp.numerators[0]
         witness = next(r for r, key in enumerate(qp.numerators) if key != first)
-        D = qp.period
+        D = full.period
         if witness > D // 2:
             # a mirrored witness: count its totals too, so both residues named are counted
             count = dilate_counter(P)
@@ -244,7 +254,7 @@ def is_pseudointegral(P: RationalPolygon) -> PipCertificate:
     if k0 != S or b_rest or i_rest:
         coeffs = ", ".join(format_quotient(k, S) for k in (k0, k1, k2))
         raise CountingConsistencyError(f"polynomial counts with impossible coefficients ({coeffs})")
-    return PipCertificate(True, qp.collapse(), interior=i + 1, boundary=b)
+    return PipCertificate(True, qp, interior=i + 1, boundary=b)
 
 
 def check_reciprocity(P: RationalPolygon, t_max: int) -> bool:

@@ -5,7 +5,8 @@ The text format "p" / "p/q" is read and written on Python ints:
 :func:`format_quotient` writes any integer quotient, so `certify` reads
 and prints a polygon and its quasipolynomial without building a
 `fractions.Fraction`.  `Fraction` remains the value type of the `Vec2`
-points that constructions and tests build polygons from, and of the
+points that `hull` takes from callers with rational points (the
+package's own constructions are written on integers), and of the
 derived views (`RationalPolygon.vertices`, `QuasiPolynomial.coeffs`).
 Both are arbitrary precision, and a `Fraction` is eagerly normalized
 to lowest terms with a positive denominator.  No floating point is used

@@ -2,15 +2,14 @@
 
 Output shows the unit lattice as dots, the polygon filled, and every
 boundary lattice point (`RationalPolygon.boundary_points`) highlighted.
-Floating point appears only here, in presentation coordinates; nothing
-feeds back into the geometry.
+Floating point appears only here, in presentation coordinates, each an
+integer quotient of the vertex triples (X, Y, d) of
+`RationalPolygon.homogeneous`; nothing feeds back into the geometry.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
-from fractions import Fraction
 
 from .polygon import RationalPolygon
 
@@ -40,9 +39,9 @@ def render_svg(P: RationalPolygon) -> Iterator[str]:
     SVG_GRID_POINT_LIMIT points.  Otherwise returns an iterator over the
     document's lines, each ending in a newline, drawn as they are read.
     """
-    xmin, xmax, ymin, ymax = P.bounding_box()
-    gx0, gx1 = math.floor(xmin) - MARGIN, math.ceil(xmax) + MARGIN
-    gy0, gy1 = math.floor(ymin) - MARGIN, math.ceil(ymax) + MARGIN
+    H = P.homogeneous
+    gx0, gx1 = min(X // d for X, _, d in H) - MARGIN, max(-(-X // d) for X, _, d in H) + MARGIN
+    gy0, gy1 = min(Y // d for _, Y, d in H) - MARGIN, max(-(-Y // d) for _, Y, d in H) + MARGIN
     grid = (gx1 - gx0 + 1) * (gy1 - gy0 + 1)
     if grid > SVG_GRID_POINT_LIMIT:
         raise ValueError(f"the SVG grid has {grid} lattice points, over SVG_GRID_POINT_LIMIT = {SVG_GRID_POINT_LIMIT}")
@@ -52,11 +51,12 @@ def render_svg(P: RationalPolygon) -> Iterator[str]:
 def _lines(P: RationalPolygon, gx0: int, gx1: int, gy0: int, gy1: int) -> Iterator[str]:
     """The lines of :func:`render_svg`'s document over the grid [gx0, gx1] x [gy0, gy1]."""
 
-    def px(x: Fraction | int) -> float:
-        return float((x - gx0) * SCALE)
+    # int / int rounds once, exactly as float(Fraction) does
+    def px(X: int, d: int = 1) -> float:
+        return (X - gx0 * d) * SCALE / d
 
-    def py(y: Fraction | int) -> float:
-        return float((gy1 - y) * SCALE)  # flip: SVG y grows downward
+    def py(Y: int, d: int = 1) -> float:
+        return (gy1 * d - Y) * SCALE / d  # flip: SVG y grows downward
 
     width, height = (gx1 - gx0) * SCALE, (gy1 - gy0) * SCALE
     yield (
@@ -65,8 +65,8 @@ def _lines(P: RationalPolygon, gx0: int, gx1: int, gy0: int, gy1: int) -> Iterat
     )
     yield f'<rect width="{width}" height="{height}" fill="white"/>\n'
     path = " ".join(
-        f"{'M' if i == 0 else 'L'} {_fmt(px(v.x))} {_fmt(py(v.y))}"
-        for i, v in enumerate(P.vertices)
+        f"{'M' if i == 0 else 'L'} {_fmt(px(X, d))} {_fmt(py(Y, d))}"
+        for i, (X, Y, d) in enumerate(P.homogeneous)
     )
     yield f'<path d="{path} Z" fill="#c8c8c8" fill-opacity="0.8" stroke="black" stroke-width="1.5"/>\n'
     boundary = P.boundary_points()

@@ -521,7 +521,7 @@ _LEG = 10**CERTIFY_COORDINATE_DIGITS - 1
         (lambda: construct_pip(10, 2, 14), "5bd416918503668001df6540065f61a6c473c296497f3cf304f18e9859662d59"),
         # a non-PIP whose witness, residue 2, comes from the mirrored half
         (lambda: hull([(Fraction(-1, 3), 1), (1, 1), (1, 2)]), "3a1c26ce207db7f47e29d28608603d15ae9214f8dd849598597fd76401a37797"),
-        (octagon_empty_boundary, "405db09418206ab116f374a5b58528e58819b8d294c51a8422cfd5dc7eb3a2a6"),
+        (octagon_empty_boundary, "d8d50c4fb97db085b17489c68395b207c458380917f91ab26a3df09add934aa7"),
         (lambda: hull([(0, 0), (3, 0), (1, 2)]), "ccad40336cda4055dbb4da50026552b4996a8a86b998c393d06eb9619eaa90a1"),
         # D = 4: residue D/2 is its own mirror
         (

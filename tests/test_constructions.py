@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from pipgeom.constructions import (
+    _PIP_RANGES,
     NotConstructibleError,
     build,
     construct_pip,
@@ -259,3 +260,50 @@ def test_build_dispatch():
         build("fibonacci", (1, 2))
     with pytest.raises(ValueError, match=r"catalog index must be in 0\.\.15"):
         build("reflexive", (16,))
+
+
+# --- the Fraction point lists the integer constructions transcribe -----------
+
+
+def _fraction_pip(d, i, b):
+    if d == 3:
+        return [(i, 0), (0, F(1, 3)), (-2, -1), (b - 4, -1), (i + F(2 * (b - 5), 3), F(-2, 3))]
+    if d == 4:
+        return [(i, 0), (0, F(1, 4)), (-1, F(-1, 2)), (-1, -1), (b - 3, -1), (i + F(3 * (b - 4), 4), F(-3, 4))]
+    return [(i, 0), (0, F(1, 5)), (F(-3, 2), -1), (b - 3, -1), (i + F(4 * (b - 4), 5), F(-4, 5))]
+
+
+def _fraction_scott(i, b):
+    if i == 1 and b == 9:
+        return [(-1, -1), (2, -1), (-1, 2)]
+    if b == 2 * i + 6:
+        return [(0, 0), (i + 1, 0), (i + 1, 2), (0, 2)]
+    if b == 2 * i + 5:
+        return [(0, 0), (i + 1, 0), (i + 1, 1), (i, 2), (0, 2)]
+    a, c = (2 * i - b + 3, b - 3) if b <= 2 * i + 2 else (2 * i - b + 5, b - 4)
+    return [(0, 0), (1, -1), (a + c, 1), (a, 1)]
+
+
+def _fraction_families():
+    """(built polygon, its Fraction point list) over each family's grid."""
+    h, t, third = F(1, 2), F(1, 3), F(2, 3)
+    yield fourgon_distance_two(), [(1, 0), (0, third), (-1, 0), (0, -third)]
+    yield octagon_empty_boundary(), [(h, 0), (t, t), (0, h), (-t, t), (-h, 0), (-t, -t), (0, -h), (t, -t)]
+    for i in range(1, 12):
+        d = 2 * i + 1
+        yield example_pip_b1(i), [(i, 0), (F(-2 * i, d), F(2 * i - 1, d)), (F(-1, d), F(-(2 * i - 1), d))]
+        yield example_pip_b2(i), [(i, 0), (-1, F(i, i + 1)), (-1, F(-i, i + 1))]
+        for d, (slope, intercept) in _PIP_RANGES.items():
+            for b in range(2, slope * i + intercept + 1):
+                yield construct_pip(d, i, b), _fraction_pip(d, i, b)
+    for i in range(1, 15):
+        for b in range(3, (9 if i == 1 else 2 * i + 6) + 1):
+            yield scott_grid_polygon(i, b), _fraction_scott(i, b)
+
+
+def test_integer_constructions_match_their_fraction_points():
+    count = 0
+    for P, points in _fraction_families():
+        assert P.homogeneous == hull(points).homogeneous, points
+        count += 1
+    assert count == 1_193

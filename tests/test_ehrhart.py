@@ -6,9 +6,12 @@ import pytest
 
 from pipgeom.constructions import (
     construct_pip,
+    example_pip_b1,
+    example_pip_b2,
     fibonacci_triangle,
     fourgon_distance_two,
     octagon_empty_boundary,
+    scott_grid_polygon,
     t_xyz,
 )
 from pipgeom.counting import count_boundary, count_total, dilate_counter
@@ -22,7 +25,7 @@ from pipgeom.ehrhart import (
 from pipgeom.exact import AffineMap, Vec2
 from pipgeom.polygon import DegenerateHullError, hull
 from pipgeom.suites import suite_properties
-from pipgeom.vieta import VietaSolution
+from pipgeom.vieta import VietaSolution, all_reduced_solutions
 
 from conftest import fraction_fit_coeffs, random_polygon, random_unimodular
 
@@ -89,6 +92,42 @@ def test_fourgon_has_distinct_residue_triples():
     assert qp.period == 3
     assert not qp.is_polynomial
     assert len(set(qp.coeffs)) >= 2
+
+
+def test_octagon_certifies_its_minimal_period():
+    # D = 6, but residues 0/3, 1/4 and 2/5 share their triples
+    O = octagon_empty_boundary()
+    full, cert = reconstruct_quasipolynomial(O), is_pseudointegral(O)
+    assert full.period == O.denominator == 6
+    assert cert.ehrhart.period == 3 and cert.ehrhart.numerators == full.numerators[:3]
+    assert list(cert.to_json_dict()["coeffs"]) == ["0", "1", "2"]
+    assert cert.witness_residues == (0, 1)
+
+
+def test_every_family_pip_has_period_one():
+    pips = [example_pip_b1(3), example_pip_b2(4), fibonacci_triangle(2), scott_grid_polygon(2, 7)]
+    pips += [construct_pip(d, 2, 9) for d in (3, 4, 10)] + [t_xyz(s) for s in all_reduced_solutions()]
+    for P in pips:
+        cert = is_pseudointegral(P)
+        assert cert.is_pip and cert.ehrhart.period == 1
+
+
+@pytest.mark.parametrize("max_den", [4, 6])
+def test_collapse_finds_the_least_period_dividing_d(max_den):
+    rng = random.Random(4300 + max_den)
+    proper = False
+    for _ in range(30):
+        P = random_polygon(rng, span=4, max_den=max_den)
+        full = reconstruct_quasipolynomial(P)
+        D, keys = full.period, full.numerators
+        qp = is_pseudointegral(P).ehrhart
+        p = qp.period
+        assert qp == full.collapse() and D % p == 0
+        # the collapsed table expands to the full fit, and no smaller divisor of D is a period
+        assert tuple(qp.numerators[r % p] for r in range(D)) == keys
+        assert not any(D % s == 0 and all(keys[r] == keys[r % s] for r in range(D)) for s in range(1, p))
+        proper |= 1 < p < D
+    assert proper
 
 
 def test_quadratic_coefficient_is_area(rng):
@@ -298,7 +337,7 @@ def test_mirrored_witness_is_counted(monkeypatch):
         (F(1), F(4, 3), F(2, 3)),
         (F(2, 3), F(4, 3), F(2, 3)),
     )
-    assert cert.witness_residues == (0, 2)
+    assert cert.ehrhart.period == 3 and cert.witness_residues == (0, 2)
     # residues 0 and 1 fit the quasipolynomial, then residue 2 is counted
     assert calls == [3, 6, 9, 12, 1, 4, 7, 10, 2, 5, 8, 11]
 
