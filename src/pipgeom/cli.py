@@ -15,6 +15,10 @@ lists `construct --params` and `vieta --family`, checks its range, and
 one `vieta` mode.  `_given` refuses a flag that the `vieta` mode or
 `verify` suite does not read, by the one table `_READS`.  `main` makes
 each refusal one `error:` line and exit 2.
+
+Each command imports the modules it runs when it runs, and the family and
+suite names are imported only when the parser reads them, so `certify`
+loads only `polygon`, `counting` and `ehrhart`.
 """
 
 from __future__ import annotations
@@ -27,17 +31,12 @@ import math
 import os
 import sys
 import time
+from importlib import import_module
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NoReturn
 
 from . import __version__
-from .constructions import FAMILIES, build
-from .ehrhart import CERTIFY_WORK_LIMIT, certify_work, is_pseudointegral
 from .exact import parse_integer
-from .polygon import RationalPolygon
-from .suites import NVAR_BOUND, SUITES
-from .svg import render_svg
-from .vieta import VietaSolution, enumerate_reduced, family, is_vieta_reduced, jump_forest, search_cost
 
 USAGE_ERROR = 2
 
@@ -97,9 +96,10 @@ def _integers(read: Callable[[str], int], count: int | None = None) -> Callable[
 
 
 # Largest search `verify` starts, in the work units of `vieta.search_cost`.
-# At the limit each n = 2..6 searches in at most about 40 ms and 1.6 MB of
-# traced allocations (n = 2, bound 4,209); b-sweep admits bounds up to 400,
-# which search in about 7 ms (2-vCPU VM).
+# At the limit each n = 2 and 4..6 searches in at most about 40 ms and 1.6 MB
+# of traced allocations (n = 2, bound 4,209).  b-sweep and nvar n = 3 admit
+# bounds up to 400, as before the n = 3 search became a jump walk; at 400 the
+# walk takes about 0.3 ms (2-vCPU VM).
 VERIFY_SEARCH_LIMIT = 10**5
 
 # Most digits `certify` accepts in the integers that write the polygon over
@@ -227,6 +227,9 @@ def _write_json(value, out: list[str], newline: str) -> None:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .ehrhart import CERTIFY_WORK_LIMIT, certify_work, is_pseudointegral
+    from .polygon import RationalPolygon
+
     try:
         with open(args.polygon_file) as fh:
             text = fh.read(CERTIFY_FILE_LIMIT + 1)
@@ -277,6 +280,8 @@ def _solutions_table(solutions) -> str:
 
 
 def _cmd_vieta(args: argparse.Namespace) -> int:
+    from .vieta import VietaSolution, enumerate_reduced, family, is_vieta_reduced, jump_forest
+
     mode = "reduced" if args.reduced else "forest" if args.forest else "family"
     given = _given(args, f"vieta --{mode}")
     inputs: dict = {"b": args.b}
@@ -311,11 +316,15 @@ def _cmd_vieta(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from .constructions import build
+
     try:
         if args.family == "fibonacci" and max(args.params, default=0) > FIBONACCI_INDEX_LIMIT:
             raise UsageError(f"index must be at most FIBONACCI_INDEX_LIMIT = {FIBONACCI_INDEX_LIMIT}")
         P = build(args.family, args.params)
         if args.svg:
+            from .svg import render_svg
+
             # render_svg refuses an oversized grid when called, before the file is opened
             lines = render_svg(P)
             with open(args.svg, "w") as fh:
@@ -328,6 +337,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .suites import NVAR_BOUND, SUITES
+    from .vieta import search_cost
+
     given = _given(args, f"verify --suite {args.suite}")
     if args.suite == "nvar-bound" and "bound" in given and "n" not in given:
         raise UsageError("suite nvar-bound reads --bound only together with --n")
@@ -343,6 +355,37 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(line)
     print(f"suite {result.name}: {'pass' if result.passed else 'FAIL'}")
     return 0 if result.passed else 1
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help layout, wrapping help text between words only: no family or suite name splits at a hyphen."""
+
+    def _split_lines(self, text: str, width: int) -> list[str]:
+        import textwrap
+
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
+class _Names:
+    """Parser `choices`: the sorted keys of `attribute` in the package module `module`, imported when read.
+
+    argparse reads choices only to check a value or to list them, so
+    `construct --help` imports `constructions` and `certify` never does.
+    An argument that takes it needs a `metavar`: without one,
+    `add_argument` formats its choices.
+    """
+
+    def __init__(self, module: str, attribute: str) -> None:
+        self.module, self.attribute = module, attribute
+
+    def _names(self) -> list[str]:
+        return sorted(getattr(import_module(f"{__package__}.{self.module}"), self.attribute))
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
 
 
 @functools.cache
@@ -371,15 +414,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=_cmd_vieta)
 
-    p = sub.add_parser("construct", help="emit a polygon from a named family")
-    p.add_argument("--family", choices=sorted(FAMILIES), required=True)
+    p = sub.add_parser("construct", help="emit a polygon from a named family", formatter_class=_Formatter)
+    family = _Names("constructions", "FAMILIES")
+    p.add_argument("--family", choices=family, metavar="FAMILY", required=True, help="one of: %(choices)s")
     params = _integer(name="CONSTRUCT_PARAMETER_DIGITS", digits=CONSTRUCT_PARAMETER_DIGITS)
     p.add_argument("--params", type=_integers(params), default=(), help="comma-separated integer parameters")
     p.add_argument("--svg", metavar="PATH", help="also render the polygon as SVG")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
+    p = sub.add_parser("verify", help="run a named verification suite", formatter_class=_Formatter)
+    p.add_argument(
+        "--suite", choices=_Names("suites", "SUITES"), metavar="SUITE", required=True, help="one of: %(choices)s"
+    )
     p.add_argument("--bound", type=_integer(1))
     p.add_argument("--n", type=_integer(2))
     p.add_argument("--depth", type=depth)

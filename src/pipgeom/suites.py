@@ -75,6 +75,11 @@ def suite_reduced_table() -> SuiteResult:
     res.add("solution set matches the known table", got == REDUCED_TABLE)
     res.add("independent brute force agrees", _brute_reduced() == got)
     res.add("b = 7 has no solutions", not vieta.enumerate_reduced(7))
+    res.add(
+        "b = 10..16 have no reduced solutions",
+        not any(vieta._reduced_triples(b) for b in range(10, 17)),
+        "a reduced triple has b*x <= 16",
+    )
     return res
 
 

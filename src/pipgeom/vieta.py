@@ -91,24 +91,24 @@ def vieta_reduce(s: VietaSolution) -> VietaSolution:
     return VietaSolution(*reduce_tuple(NTuple(s.triple(), s.b)).values, s.b)
 
 
-def enumerate_reduced(b: int) -> frozenset[VietaSolution]:
-    """All Vieta-reduced solutions for one b in 1..9.
+def _reduced_triples(b: int) -> list[tuple[int, int, int]]:
+    """The sorted reduced triples (x <= y <= z <= x+y) with (x+y+z)^2 = b*x*y*z, for any b >= 1.
 
-    Reducedness forces x <= 16/b and w := z - y in 0..x, leaving a
-    quadratic in y per (x, w) cell:
+    Reducedness gives x + y + z <= 4y and x*y*z >= x*y^2, so
+    b*x*y^2 <= 16*y^2: b*x <= 16, which leaves x <= 16 // b and no
+    triple at all for b > 16.  With w := z - y in 0..x, each (x, w)
+    cell is a quadratic in y:
     (b*x - 4) y^2 + (b*x*w - 4(x+w)) y - (x+w)^2 = 0.
     Cells with b*x <= 4 have no positive root (the root product is
     negative or the linear case forces y < 0).  The perfect-square test
     uses exact integer square roots; a near-square is never accepted.
     """
-    if not 1 <= b <= 9:
-        raise ValueError("b must be in 1..9")
-    found = set()
+    found = []
     for x in range(1, 16 // b + 1):
+        A = b * x - 4
+        if A <= 0:
+            continue
         for w in range(0, x + 1):
-            A = b * x - 4
-            if A <= 0:
-                continue
             B = b * x * w - 4 * (x + w)
             C = -((x + w) ** 2)
             disc = B * B - 4 * A * C
@@ -120,8 +120,15 @@ def enumerate_reduced(b: int) -> frozenset[VietaSolution]:
                     y = num // (2 * A)
                     z = y + w
                     if x <= y and is_solution(x, y, z) == b:
-                        found.add(VietaSolution(x, y, z, b))
-    return frozenset(found)
+                        found.append((x, y, z))
+    return found
+
+
+def enumerate_reduced(b: int) -> frozenset[VietaSolution]:
+    """All Vieta-reduced solutions for one b in 1..9; see `_reduced_triples`."""
+    if not 1 <= b <= 9:
+        raise ValueError("b must be in 1..9")
+    return frozenset(VietaSolution(*t, b) for t in _reduced_triples(b))
 
 
 def all_reduced_solutions() -> tuple[VietaSolution, ...]:
@@ -132,25 +139,18 @@ def all_reduced_solutions() -> tuple[VietaSolution, ...]:
     return tuple(sorted(out, key=lambda s: (s.b, s.x, s.y, s.z)))
 
 
-def jump_forest(b: int, max_z: int) -> dict[VietaSolution, tuple[VietaSolution, ...]]:
-    """Sorted-solution graph with single jumps as edges, entries <= max_z.
+def _forest(b: int, max_z: int) -> dict[tuple[int, int, int], set[tuple[int, int, int]]]:
+    """The single-jump graph on the sorted solutions for b with entries <= max_z.
 
-    Every node is reachable from a reduced root because reduction paths
-    have strictly decreasing maxima.  The unsorted solution graph is a
-    3-regular rooted forest with one tree per reordering of each
-    reduced solution (51 trees over all b); what is exposed here is its
-    quotient modulo reordering, one component per reduced solution, so
-    jumps that land on the same sorted triple are dropped.
-
-    The search walks plain sorted triples; each node's `VietaSolution`,
-    which checks the equation, is built once from the finished graph and
-    shared by its key and every neighbour tuple.  Nodes and neighbours
-    come sorted, which orders them as `VietaSolution`s of one b.
+    Maps each sorted triple to the set of its distinct sorted jump images
+    within the bound.  The walk starts from the reduced triples and is
+    complete: reducing a solution jumps its largest entry down, so its
+    reduction path to a root has strictly decreasing maxima, every node
+    on it lies within the bound, and the walk reaches the solution by
+    the reverse jumps.  Any b >= 1 is taken; above 16 there are no roots.
     """
-    if not 1 <= b <= 9:
-        raise ValueError("b must be in 1..9")
     adjacency: dict[tuple[int, int, int], set[tuple[int, int, int]]] = {
-        s.triple(): set() for s in enumerate_reduced(b) if s.z <= max_z
+        t: set() for t in _reduced_triples(b) if t[2] <= max_z
     }
     frontier = list(adjacency)
     while frontier:
@@ -164,6 +164,27 @@ def jump_forest(b: int, max_z: int) -> dict[VietaSolution, tuple[VietaSolution, 
                 adjacency[nb] = set()
                 frontier.append(nb)
             adjacency[nb].add(t)
+    return adjacency
+
+
+def jump_forest(b: int, max_z: int) -> dict[VietaSolution, tuple[VietaSolution, ...]]:
+    """Sorted-solution graph with single jumps as edges, entries <= max_z.
+
+    Every node is reachable from a reduced root because reduction paths
+    have strictly decreasing maxima.  The unsorted solution graph is a
+    3-regular rooted forest with one tree per reordering of each
+    reduced solution (51 trees over all b); what is exposed here is its
+    quotient modulo reordering, one component per reduced solution, so
+    jumps that land on the same sorted triple are dropped.
+
+    `_forest` walks plain sorted triples; each node's `VietaSolution`,
+    which checks the equation, is built once from the finished graph and
+    shared by its key and every neighbour tuple.  Nodes and neighbours
+    come sorted, which orders them as `VietaSolution`s of one b.
+    """
+    if not 1 <= b <= 9:
+        raise ValueError("b must be in 1..9")
+    adjacency = _forest(b, max_z)
     nodes = {t: VietaSolution(*t, b) for t in sorted(adjacency)}
     # tuple() of a list sizes each neighbour tuple exactly; of a generator it over-allocates
     return {s: tuple([nodes[u] for u in sorted(adjacency[t])]) for t, s in nodes.items()}
@@ -222,13 +243,18 @@ def _square_divisors(limit: int, bound: int) -> list[list[int]]:
 def _sorted_solutions(n: int, bound: int) -> list[tuple[tuple[int, ...], int]]:
     """Every sorted n-tuple with entries <= bound and integer b, as (tuple, b).
 
-    An integer b forces the last entry v to divide (R + v)^2, hence R^2,
-    where R is the sum of the other entries; every other v fails that
-    necessary condition.  The candidates are exactly the sorted tuples
-    with v | R^2, the set a walk over each sorted prefix and the v in
-    divs[R] would try, but grouped by sum instead of visited prefix by
-    prefix.  For n >= 3 a tuple is a head of n - 3 entries (sum S,
-    product P, last entry lo, or 1 when empty), then x <= y, then v.
+    n = 3 is the union over b = 1..16 of the jump graphs `_forest(b, bound)`:
+    every solution reduces to a reduced triple of the same b, which has
+    b*x <= 16, and the walk from those roots reaches every solution within
+    the bound.  Each node is checked exactly, (x+y+z)^2 == b*x*y*z.
+
+    n = 2 and n >= 4 are a divisor search.  An integer b forces the last
+    entry v to divide (R + v)^2, hence R^2, where R is the sum of the other
+    entries; every other v fails that necessary condition.  The candidates
+    are exactly the sorted tuples with v | R^2, the set a walk over each
+    sorted prefix and the v in divs[R] would try, but grouped by sum instead
+    of visited prefix by prefix.  For n >= 4 a tuple is a head of n - 3
+    entries (sum S, product P, last entry lo), then x <= y, then v.
     With r = x + y and R = S + r, every tuple of a group (head, r, v)
     with v | R^2 shares the integer N = (R + v)^2 / v, and b is
     N / (P*x*y).  A group is dropped at once unless P | N; otherwise
@@ -243,6 +269,8 @@ def _sorted_solutions(n: int, bound: int) -> list[tuple[tuple[int, ...], int]]:
     directly from a table up to bound.  The result is sorted
     lexicographically.
     """
+    if n == 3:
+        return sorted((t, b) for b in range(1, 17) for t in _forest(b, bound) if sum(t) ** 2 == b * math.prod(t))
     divs = _square_divisors(n * bound if n > 2 else bound, bound)
     hits = []
     if n == 2:
@@ -254,7 +282,7 @@ def _sorted_solutions(n: int, bound: int) -> list[tuple[tuple[int, ...], int]]:
                     hits.append(((y, v), s2 // (y * v)))
         return hits
     for head in combinations_with_replacement(range(1, bound + 1), n - 3):
-        S, P, lo = sum(head), math.prod(head), head[-1] if head else 1
+        S, P, lo = sum(head), math.prod(head), head[-1]
         for r in range(2 * lo, 2 * bound + 1):
             R = S + r
             vs = divs[R]
@@ -272,7 +300,7 @@ def _sorted_solutions(n: int, bound: int) -> list[tuple[tuple[int, ...], int]]:
 
 
 def search_cost(n: int, bound: int) -> int | float:
-    """About how much work `_sorted_solutions(n, bound)` does.
+    """About how much work the divisor search of `_sorted_solutions(n, bound)` does.
 
     With k = bound.bit_length(), it counts a divisor table of (n - 1) * bound + 1
     lists of about k^2 / 8 entries; each of the C(bound + n - 4, n - 3) heads
@@ -281,11 +309,12 @@ def search_cost(n: int, bound: int) -> int | float:
     n - 1 entries meets about k / 8 candidates v | R^2.  Against counts taken
     in the search (table lists and entries, head entries, sums r, groups and
     x tests), this is 0.7 to 1.03 times the work for n = 2 from bound 100 up.
-    For n >= 3 it is an upper estimate: the search tries only the x dividing
-    the square of the whole sum, so at n = 3 the estimate is 1.2 times the
-    work at bound 100 and 2.7 times at 315 (63,641 against about 23,500), and
-    for n = 4..6 at the largest admitted bounds 3 to 4.5 times.  The estimate
-    is kept as it is so that `cli.VERIFY_SEARCH_LIMIT` admits the same searches.
+    For n >= 4 it is an upper estimate: the search tries only the x dividing
+    the square of the whole sum, so for n = 4..6 at the largest admitted
+    bounds it is 3 to 4.5 times the work.  n = 3 no longer runs that search:
+    its jump walk does work of the order of the forest size, a few hundred
+    nodes at bound 400, so the n = 3 value models nothing and is kept only so
+    that `cli.VERIFY_SEARCH_LIMIT` admits the same searches as before.
     As C(m, i) >= 2^i for i <= m / 2, huge n or bound pass sys.maxsize within
     63 factors: math.inf.
     """
@@ -304,10 +333,10 @@ def solution_b_sweep(bound: int) -> dict[int, tuple[int, int, int]]:
 
     Takes, in lexicographic order, every 1 <= x <= y <= z <= bound with
     xyz | (x+y+z)^2 from `_sorted_solutions` and keeps the first triple
-    per b.  Only the z dividing (x+y)^2 are candidates there, since an
-    integer b forces z | (x+y+z)^2, hence z | (x+y)^2; every other z
-    fails that necessary condition, so the search is complete up to the
-    bound.  The full divisibility test still decides each candidate.
+    per b.  Those triples are the nodes of the jump walks from the
+    reduced triples of b = 1..16; since every solution reduces to such a
+    root through solutions with smaller largest entries, the walk is
+    complete up to the bound.  Each node is checked exactly.
     """
     witnesses: dict[int, tuple[int, int, int]] = {}
     for triple, b in _sorted_solutions(3, bound):
@@ -354,12 +383,14 @@ GeneralBoundReport = namedtuple("GeneralBoundReport", "solutions max_b b_values 
 def verify_general_bound(n: int, search_bound: int) -> GeneralBoundReport:
     """Exhaust sorted n-tuples up to search_bound and check b <= n^2.
 
-    The solutions come from `_sorted_solutions` in lexicographic order.
-    An integer b forces the last entry v to divide (R + v)^2, hence R^2,
+    The solutions come from `_sorted_solutions` in lexicographic order,
+    and no solution up to the bound is skipped.  For n = 3 they are the
+    nodes of the jump walks from the reduced triples.  For other n an
+    integer b forces the last entry v to divide (R + v)^2, hence R^2,
     where R is the sum of the first n - 1 entries; so only the v in
     [y, search_bound] dividing R^2 are candidates (y the entry before
-    v), and no solution up to the bound is skipped.  Each candidate is
-    decided exactly, by the divisibility test that also yields its b.
+    v).  Each solution is decided exactly, by the equation that also
+    yields its b.
 
     Also reduces every solution found and confirms the reduced form has
     its largest entry bounded by the sum of the others.  The search is

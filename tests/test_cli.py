@@ -20,7 +20,6 @@ import pipgeom
 from pipgeom.cli import (
     CERTIFY_COORDINATE_DIGITS,
     CERTIFY_FILE_LIMIT,
-    CERTIFY_WORK_LIMIT,
     CONSTRUCT_PARAMETER_DIGITS,
     FIBONACCI_INDEX_LIMIT,
     PROPERTIES_COUNT_LIMIT,
@@ -33,6 +32,7 @@ from pipgeom.cli import (
     main,
 )
 from pipgeom.constructions import _PIP_RANGES, FAMILIES, construct_pip, fibonacci_triangle, octagon_empty_boundary
+from pipgeom.ehrhart import CERTIFY_WORK_LIMIT
 from pipgeom.exact import Vec2
 from pipgeom.polygon import RationalPolygon, hull
 from pipgeom.suites import SUITES, SuiteResult
@@ -298,7 +298,7 @@ def test_vieta_depth_out_of_range_exit_two(depth, capsys, monkeypatch):
     def family_started(*args):
         raise AssertionError("the family started")
 
-    monkeypatch.setattr("pipgeom.cli.family", family_started)
+    monkeypatch.setattr("pipgeom.vieta.family", family_started)
     assert main(["vieta", "--b", "9", "--family", "1,1,1", "--depth", str(depth)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -343,7 +343,7 @@ def test_construct_refuses_an_unknown_family_before_building(capsys, monkeypatch
     def construction_started(*args):
         raise AssertionError("construction started")
 
-    monkeypatch.setattr("pipgeom.cli.build", construction_started)
+    monkeypatch.setattr("pipgeom.constructions.build", construction_started)
     assert main(["construct", "--family", "nope", "--params", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -452,7 +452,7 @@ def test_verify_search_at_the_limit_runs(capsys):
     [
         (["--suite", "b-sweep"], "ad2abf3cce931b2dcef04a1e146063b8b1134d53b2c5a01a83cab2e5a4bf639b"),
         (["--suite", "nvar-bound"], "930abbf01de2c3ca9b33a2763b055c07ee36ada48c7bf79df54fa4bf07926322"),
-        (["--suite", "reduced-table"], "1f51f8d97f3eab710d7f029e698e680d2fc0d320e23def9e9c30b95ec3d32ad8"),
+        (["--suite", "reduced-table"], "94c3bbfdb6b28e74fc383605ad554c9fd54162d9b4fdacc0b18e29bcfc8e0dfd"),
         (["--suite", "family-grid"], "7ede869c1a721bb3978f38b386222304750339f592a90f89195c38d68ae12fc3"),
         (["--suite", "fibonacci"], "d822bf4ad9d6851dcaaca4fba8a784ca320402db624cb2bfac6054c56652b649"),
         (["--suite", "denominator-grid"], "55fddeb45f19f1f7b2dd4bc4e946ada9dc4a8f031f48409e08bc4c1c55cca0d6"),
@@ -555,7 +555,7 @@ def test_verify_refuses_flags_the_suite_does_not_read(argv, flag, capsys, monkey
     def suite_started(*args, **kwargs):
         raise AssertionError("the suite started")
 
-    monkeypatch.setattr("pipgeom.cli.SUITES", dict.fromkeys(SUITES, suite_started))
+    monkeypatch.setattr("pipgeom.suites.SUITES", dict.fromkeys(SUITES, suite_started))
     assert main(["verify", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -573,7 +573,7 @@ def test_verify_refuses_suite_flags_over_their_limit(suite, flag, name, limit, c
     def suite_started(*args, **kwargs):
         raise AssertionError("the suite started")
 
-    monkeypatch.setattr("pipgeom.cli.SUITES", dict.fromkeys(SUITES, suite_started))
+    monkeypatch.setattr("pipgeom.suites.SUITES", dict.fromkeys(SUITES, suite_started))
     for value in (limit + 1, 10**4000):
         assert main(["verify", "--suite", suite, flag, str(value)]) == 2
         captured = capsys.readouterr()
@@ -589,7 +589,7 @@ def test_verify_suite_flags_at_their_limit_run(suite, flag, name, limit, capsys,
         calls.append(kwargs)
         return SuiteResult(suite)
 
-    monkeypatch.setattr("pipgeom.cli.SUITES", dict.fromkeys(SUITES, suite_stub))
+    monkeypatch.setattr("pipgeom.suites.SUITES", dict.fromkeys(SUITES, suite_stub))
     assert main(["verify", "--suite", suite, flag, str(limit)]) == 0
     assert calls == [{flag[2:]: limit}]
     assert capsys.readouterr().out == f"suite {suite}: pass\n"
@@ -625,7 +625,7 @@ def test_certify_refuses_oversized_coordinates_up_front(vertices, tmp_path, caps
     def certification_started(P):
         raise AssertionError("certification started")
 
-    monkeypatch.setattr("pipgeom.cli.is_pseudointegral", certification_started)
+    monkeypatch.setattr("pipgeom.ehrhart.is_pseudointegral", certification_started)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"vertices": vertices}))
     assert main(["certify", str(path)]) == 2
@@ -643,7 +643,7 @@ def test_certify_reads_a_file_up_to_the_limit(tmp_path, capsys, monkeypatch):
     path.write_text(text.ljust(CERTIFY_FILE_LIMIT))
     assert main(["certify", str(path)]) == 0
     assert capsys.readouterr().out == _certify_stdout(tmp_path, fibonacci_triangle(1), capsys)
-    monkeypatch.setattr("pipgeom.cli.is_pseudointegral", certification_started)
+    monkeypatch.setattr("pipgeom.ehrhart.is_pseudointegral", certification_started)
     path.write_text(text.ljust(CERTIFY_FILE_LIMIT + 1))
     assert main(["certify", str(path)]) == 2
     captured = capsys.readouterr()
@@ -665,7 +665,7 @@ def test_construct_refuses_fibonacci_index_over_the_limit(j, capsys, monkeypatch
     def construction_started(spec):
         raise AssertionError("construction started")
 
-    monkeypatch.setattr("pipgeom.cli.build", construction_started)
+    monkeypatch.setattr("pipgeom.constructions.build", construction_started)
     assert main(["construct", "--family", "fibonacci", "--params", str(j)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -682,7 +682,7 @@ def test_construct_refuses_parameters_over_the_digit_limit(params, capsys, monke
     def construction_started(spec):
         raise AssertionError("construction started")
 
-    monkeypatch.setattr("pipgeom.cli.build", construction_started)
+    monkeypatch.setattr("pipgeom.constructions.build", construction_started)
     assert main(["construct", "--family", "p10", "--params", params]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -752,7 +752,7 @@ def test_vieta_forest_max_z_out_of_range_exit_two(max_z, capsys, monkeypatch):
     def forest_started(*args):
         raise AssertionError("the forest started")
 
-    monkeypatch.setattr("pipgeom.cli.jump_forest", forest_started)
+    monkeypatch.setattr("pipgeom.vieta.jump_forest", forest_started)
     assert main(["vieta", "--b", "1", "--forest", "--max-z", str(max_z)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -772,7 +772,7 @@ def test_certify_refuses_oversized_work_up_front(den, tmp_path, capsys, monkeypa
     def certification_started(P):
         raise AssertionError("certification started")
 
-    monkeypatch.setattr("pipgeom.cli.is_pseudointegral", certification_started)
+    monkeypatch.setattr("pipgeom.ehrhart.is_pseudointegral", certification_started)
     path = write_polygon(tmp_path, hull([Vec2(0, 0), Vec2(1, 0), Vec2(0, Fraction(1, den))]))
     assert main(["certify", path]) == 2
     captured = capsys.readouterr()
@@ -842,7 +842,7 @@ def test_certify_refuses_a_long_denominator_before_the_full_lcm(tmp_path, capsys
     def started(*args):
         raise AssertionError("the full lcm or the certification started")
 
-    monkeypatch.setattr("pipgeom.cli.is_pseudointegral", started)
+    monkeypatch.setattr("pipgeom.ehrhart.is_pseudointegral", started)
     monkeypatch.setattr(RationalPolygon, "denominator", property(started))
     sieve = bytearray([1]) * 190_000
     for k in range(2, 436):
@@ -1137,7 +1137,7 @@ def test_library_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
     def broken(P):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr("pipgeom.cli.is_pseudointegral", broken)
+    monkeypatch.setattr("pipgeom.ehrhart.is_pseudointegral", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["certify", write_polygon(tmp_path, fibonacci_triangle(1))])
 

@@ -1,6 +1,7 @@
 """The package surface: public names resolved on first use, a lean import, and the value types."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -35,9 +36,49 @@ def test_constructions_and_vieta_import_without_counting_ehrhart_or_dataclasses(
     lean, everything = (set(ast.literal_eval(line)) for line in done.stdout.splitlines())
     assert {"pipgeom", "pipgeom.constructions", "pipgeom.vieta"} <= lean
     assert not lean & {"dataclasses", "pipgeom.counting", "pipgeom.ehrhart"}
-    # the command layer loads every module of the package, and none imports dataclasses
-    assert {"pipgeom.counting", "pipgeom.ehrhart", "pipgeom.suites", "pipgeom.svg"} <= everything
+    # the command layer loads each command's modules when the command runs, and none imports dataclasses
+    assert not everything & {"pipgeom.counting", "pipgeom.ehrhart", "pipgeom.suites", "pipgeom.svg"}
     assert "dataclasses" not in everything
+
+
+# the package modules a snapshot finds after one command, run in a fresh interpreter
+_COMMAND_CHECK = """
+import contextlib, io, sys
+from pipgeom.cli import main
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, sorted(m for m in set(sys.modules) - before if m.startswith("pipgeom.")))
+"""
+
+
+def _modules_after(*argv: str) -> tuple[int, set[str]]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(pipgeom.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _COMMAND_CHECK, *argv], capture_output=True, env=env, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    code, modules = done.stdout.split(" ", 1)
+    return int(code), set(ast.literal_eval(modules))
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path):
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(fibonacci_triangle(2).to_json_dict()))
+    code, loaded = _modules_after("certify", str(path))
+    assert code == 0
+    assert {"pipgeom.polygon", "pipgeom.counting", "pipgeom.ehrhart"} <= loaded
+    assert not loaded & {"pipgeom.suites", "pipgeom.svg", "pipgeom.vieta", "pipgeom.constructions"}
+    code, loaded = _modules_after("vieta", "--b", "9", "--reduced")
+    assert code == 0 and "pipgeom.vieta" in loaded
+    assert not loaded & {"pipgeom.counting", "pipgeom.ehrhart", "pipgeom.suites", "pipgeom.svg"}
+    # the parser imports constructions to check the family, and svg only for --svg
+    code, loaded = _modules_after("construct", "--family", "p10", "--params", "2,14")
+    assert code == 0 and "pipgeom.constructions" in loaded
+    assert not loaded & {"pipgeom.counting", "pipgeom.ehrhart", "pipgeom.suites", "pipgeom.svg"}
+    code, loaded = _modules_after("construct", "--family", "p10", "--params", "2,14", "--svg", str(tmp_path / "p.svg"))
+    assert code == 0 and "pipgeom.svg" in loaded
 
 
 def test_every_public_name_resolves_and_is_listed():

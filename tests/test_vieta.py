@@ -2,10 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pipgeom import vieta
+from pipgeom.suites import _brute_reduced
 from pipgeom.vieta import (
     BoundViolationError,
     NTuple,
     VietaSolution,
+    _reduced_triples,
     _sorted_solutions,
     _square_divisors,
     all_reduced_solutions,
@@ -314,6 +317,39 @@ def test_sorted_solutions_match_pruned_at_benchmark_size(n, bound):
     expected = [(t.values, t.b) for t in pruned_general_bound(n, bound)]
     assert expected
     assert _sorted_solutions(n, bound) == expected
+
+
+def test_reduced_triples_cover_every_b_that_reducedness_admits():
+    brute = _brute_reduced()
+    assert {b for b, *_ in brute} == {1, 2, 3, 4, 5, 6, 8, 9}
+    for b in range(1, 17):
+        assert sorted(_reduced_triples(b)) == sorted((x, y, z) for c, x, y, z in brute if c == b)
+
+
+def test_sorted_solutions_n3_match_pruned_at_every_bound_to_400():
+    # entries <= B are the tuples of the bound-400 oracle whose last entry is <= B
+    everything = [(t.values, t.b) for t in pruned_general_bound(3, 400)]
+    for bound in range(1, 401):
+        assert _sorted_solutions(3, bound) == [hit for hit in everything if hit[0][-1] <= bound]
+    for bound in (1, 2, 3, 9, 25, 64):
+        assert _sorted_solutions(3, bound) == [(t.values, t.b) for t in pruned_general_bound(3, bound)]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 5, 8, 13, 21, 50, 99, 150, 257, 400])
+def test_solution_b_sweep_matches_pruned_on_a_grid(bound):
+    assert list(solution_b_sweep(bound).items()) == list(pruned_b_sweep(bound).items())
+
+
+def test_n3_search_builds_no_divisor_table(monkeypatch):
+    def divisor_table(*args):
+        raise AssertionError("divisor table built")
+
+    monkeypatch.setattr(vieta, "_square_divisors", divisor_table)
+    assert _sorted_solutions(3, 400)
+    assert len(solution_b_sweep(300)) == 8
+    assert verify_general_bound(3, 200).max_b == 9
+    with pytest.raises(AssertionError, match="divisor table built"):
+        _sorted_solutions(4, 10)
 
 
 def test_is_solution_any_length_and_ntuple():
