@@ -95,11 +95,14 @@ def _integers(read: Callable[[str], int], count: int | None = None) -> Callable[
     return read_all
 
 
-# Largest search `verify` starts, in the work units of `vieta.search_cost`.
-# At the limit each n = 2 and 4..6 searches in at most about 40 ms and 1.6 MB
-# of traced allocations (n = 2, bound 4,209).  b-sweep and nvar n = 3 admit
-# bounds up to 400, as before the n = 3 search became a jump walk; at 400 the
-# walk takes about 0.3 ms (2-vCPU VM).
+# Largest search `verify` starts, in the work units of `vieta.search_cost`,
+# which prices the divisor search that every n ran before it became the
+# diagonal (n = 2) or a jump walk from the reduced tuples (n >= 3).  The
+# limit admits what it admitted then: b-sweep and nvar n = 3 up to bound 400,
+# n = 4, 5, 6, 8, 10 up to 82, 34, 20, 11, 8, n = 2 up to 4,209 and
+# all-ones tuples up to n = 47,059.  At the limit a `verify_general_bound`
+# call takes at most about 10 ms (n = 2, bound 4,209, nearly all of it in
+# building and reducing its 4,209 `NTuple`s; 2-vCPU VM).
 VERIFY_SEARCH_LIMIT = 10**5
 
 # Most digits `certify` accepts in the integers that write the polygon over

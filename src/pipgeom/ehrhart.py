@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cached_property
 
@@ -164,9 +165,13 @@ def reconstruct_quasipolynomial(P: RationalPolygon) -> QuasiPolynomial:
     equal numerators share one triple, so for a PIP every class holds
     the same object.
     """
+    return _reconstruct(P, dilate_counter(P))
+
+
+def _reconstruct(P: RationalPolygon, count: Callable[[int], tuple[int, int]]) -> QuasiPolynomial:
+    """`reconstruct_quasipolynomial` on the given `dilate_counter(P)`, which the caller may count with again."""
     D = P.denominator
     scale = 2 * D * D
-    count = dilate_counter(P)
     shared: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     triples: list = [None] * D
     for r in range(D // 2 + 1):
@@ -232,7 +237,8 @@ def is_pseudointegral(P: RationalPolygon) -> PipCertificate:
     i = total(1) - b hold by construction; a boundary count corrupted at
     t = 1 fails the fourth-sample check of that interior fit instead.
     """
-    full = reconstruct_quasipolynomial(P)
+    count = dilate_counter(P)
+    full = _reconstruct(P, count)
     qp = full.collapse()
     if qp.period > 1:
         first = qp.numerators[0]
@@ -240,7 +246,6 @@ def is_pseudointegral(P: RationalPolygon) -> PipCertificate:
         D = full.period
         if witness > D // 2:
             # a mirrored witness: count its totals too, so both residues named are counted
-            count = dilate_counter(P)
             key = _fit(D, witness, [count(t)[0] for t in range(witness, witness + 4 * D, D)], "")
             if key != qp.numerators[witness]:
                 raise CountingConsistencyError(
@@ -269,6 +274,6 @@ def check_reciprocity(P: RationalPolygon, t_max: int) -> bool:
     """
     if t_max < P.denominator:
         raise ValueError("t_max must be at least the polygon denominator")
-    qp = reconstruct_quasipolynomial(P)
     count = dilate_counter(P)
+    qp = _reconstruct(P, count)
     return all(n - b == qp.evaluate(-t) for t in range(1, t_max + 1) for n, b in [count(t)])

@@ -101,8 +101,17 @@ NVAR_BOUND = 40
 
 
 def suite_nvar(n: int | None = None, bound: int = NVAR_BOUND) -> SuiteResult:
+    """b <= n^2 for the n-tuples up to a bound; by default also the complete b-values of n = 4..8.
+
+    The bounded cases search the sorted tuples with entries up to the bound.
+    The default run then lists, for n = 4..8, the b-values of all reduced
+    n-tuples (`vieta._reduced_tuples(n)`, a finite scan with no bound); every
+    solution reduces to one of them with the same b, so these are all the
+    b-values of n variables.
+    """
     res = SuiteResult("nvar-bound")
-    cases = ((2, 50), (3, 200), (4, 40)) if n is None else ((n, bound),)
+    default = n is None
+    cases = ((2, 50), (3, 200), (4, 40)) if default else ((n, bound),)
     for n, bound in cases:
         report = vieta.verify_general_bound(n, bound)
         res.add(
@@ -118,6 +127,16 @@ def suite_nvar(n: int | None = None, bound: int = NVAR_BOUND) -> SuiteResult:
             res.add(
                 "n=3: b-values within {1..6, 8, 9}",
                 report.b_values <= ALLOWED_B,
+            )
+    if default:
+        for n in range(4, 9):
+            roots = vieta._reduced_tuples(n)
+            b_values = sorted({b for _, b in roots})
+            listed = ", ".join(map(str, b_values))
+            res.add(
+                f"n={n}: every b is at most n^2 = {n * n} and n^2 is attained; all b-values {{{listed}}}",
+                b_values[-1] == n * n,
+                f"{len(roots)} reduced tuples",
             )
     return res
 

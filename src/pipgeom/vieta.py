@@ -5,7 +5,8 @@ the conjugate root of the quadratic it satisfies, which walks a forest
 whose roots are the Vieta-reduced solutions (x <= y <= z <= x+y).
 The module also provides the recursively generated one-parameter
 families used to build triangle fixtures, and the n-variable
-generalization of the bound b <= n^2.
+generalization of the bound b <= n^2, whose solutions are walked to the
+same way from the finitely many reduced n-tuples.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 import sys
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import combinations_with_replacement
 
 
 class BoundViolationError(RuntimeError):
@@ -222,99 +222,134 @@ def family(seed: VietaSolution, j_max: int) -> list[FamilyState]:
     return states
 
 
-def _square_divisors(limit: int, bound: int) -> list[list[int]]:
-    """divs[s] = the ascending d <= bound with d | s^2, for 0 <= s <= limit.
+def _reduced_tuples(n: int, bound: int | None = None) -> list[tuple[tuple[int, ...], int]]:
+    """Every reduced sorted n-tuple (n >= 3) with integer b, as (tuple, b); entries <= bound if given.
 
-    Write d = a^2 * c with c squarefree.  Then d | s^2 exactly when
-    k(d) = a * c = d / a divides s, so each d is sieved onto the
-    multiples of k(d); the largest such a comes from a sieve over the
-    squares.  Taking d in increasing order keeps every list sorted.
+    A sorted tuple is reduced when its largest entry v is at most the sum
+    of the others; `reduce_tuple` takes every solution to a reduced one
+    with the same b.  Write the first n - 2 entries as the head (sum S,
+    product P, last entry h), followed by h <= y <= v = y + w.
+    Reducedness is w <= S.  With T = S + w and k = b*P the equation
+    (S + y + v)^2 = b*P*y*v is the cell (b, head, w) quadratic
+    (k - 4) y^2 + (k*w - 4T) y - T^2 = 0, that is k = (T + 2y)^2 / (y(y + w)).
+
+    - The head is bounded: every head entry is at most y, so S <= (n-2)*y
+      and the whole sum T + 2y <= n*y + w, while w <= S <= (n-2)*y; hence
+      (T + 2y)^2 <= n^2 y^2 + (3n - 2) y w <= n^2 * y * (y + w), and
+      k = b*P <= n^2.  (In particular b <= n^2 for every solution.)  So a
+      head is n - 2 - j ones and j entries >= 2 with product <= n^2, built
+      by extending one entry at a time, never by recursing n deep.
+    - The range of b is exact: k(y) = (T + 2y)^2 / (y(y + w)) strictly
+      decreases in y > 0 towards 4 (the numerator of its log-derivative is
+      -2*S*y - T*w < 0).  So the positive root y exists exactly when
+      k > 4, it is >= h exactly when k <= k(h), and <= Y = bound - w
+      exactly when k >= k(Y).  k(h) does not grow with w and k(Y) grows,
+      so the w loop stops at the first empty range of b.
+    - Each cell of that range is decided exactly: the discriminant is
+      k * (k*w^2 + 4T(T - 2w)), and y = (4T - k*w + root) / (2(k - 4))
+      counts only when the integer square root is exact and divides.  When
+      the y range h..Y is the shorter one, each y is tried instead, and
+      b = (T + 2y)^2 / (P*y*(y + w)) must be an integer.
     """
-    root = [1] * (bound + 1)  # root[d] = the largest a with a^2 | d
-    for a in range(2, math.isqrt(max(bound, 0)) + 1):
-        root[a * a :: a * a] = [a] * (bound // (a * a))
-    divs: list[list[int]] = [[] for _ in range(limit + 1)]
-    for d in range(1, bound + 1):
-        for s in range(0, limit + 1, d // root[d]):
-            divs[s].append(d)
-    return divs
+    limit = n * n
+    top = limit if bound is None else min(bound, limit)
+    found = []
+    heads = [((), 0, 1)]  # the head's entries >= 2, their sum and their product
+    while heads:
+        big, total, P = heads.pop()
+        j = len(big)
+        if j < n - 2:
+            heads.extend((big + (e,), total + e, P * e) for e in range(big[-1] if j else 2, min(top, limit // P) + 1))
+        S, h = n - 2 - j + total, big[-1] if j else 1
+        head = (1,) * (n - 2 - j) + big
+        for w in range(S + 1 if bound is None else min(S, bound - h) + 1):
+            T = S + w
+            b_lo, b_hi = 4 // P + 1, (T + 2 * h) ** 2 // (P * h * (h + w))
+            if bound is not None:
+                Y = bound - w
+                b_lo = max(b_lo, -(-((T + 2 * Y) ** 2) // (P * Y * (Y + w))))
+            if b_lo > b_hi:
+                break
+            if bound is not None and Y - h < b_hi - b_lo:
+                for y in range(h, Y + 1):
+                    b, rem = divmod((T + 2 * y) ** 2, P * y * (y + w))
+                    if not rem:
+                        found.append((head + (y, y + w), b))
+                continue
+            for b in range(b_lo, b_hi + 1):
+                k = b * P
+                disc = k * (k * w * w + 4 * T * (T - 2 * w))
+                root = math.isqrt(disc)
+                if root * root == disc:
+                    y, rem = divmod(4 * T - k * w + root, 2 * (k - 4))
+                    if not rem:
+                        found.append((head + (y, y + w), b))
+    return found
 
 
 def _sorted_solutions(n: int, bound: int) -> list[tuple[tuple[int, ...], int]]:
     """Every sorted n-tuple with entries <= bound and integer b, as (tuple, b).
+
+    n = 2 is the diagonal (y, y) with b = 4: write y = g*a and v = g*c with
+    gcd(a, c) = 1; (y + v)^2 = b*y*v becomes (a + c)^2 = b*a*c, so a
+    divides c^2 and c divides a^2, hence a = c = 1 and b = 4.
 
     n = 3 is the union over b = 1..16 of the jump graphs `_forest(b, bound)`:
     every solution reduces to a reduced triple of the same b, which has
     b*x <= 16, and the walk from those roots reaches every solution within
     the bound.  Each node is checked exactly, (x+y+z)^2 == b*x*y*z.
 
-    n = 2 and n >= 4 are a divisor search.  An integer b forces the last
-    entry v to divide (R + v)^2, hence R^2, where R is the sum of the other
-    entries; every other v fails that necessary condition.  The candidates
-    are exactly the sorted tuples with v | R^2, the set a walk over each
-    sorted prefix and the v in divs[R] would try, but grouped by sum instead
-    of visited prefix by prefix.  For n >= 4 a tuple is a head of n - 3
-    entries (sum S, product P, last entry lo), then x <= y, then v.
-    With r = x + y and R = S + r, every tuple of a group (head, r, v)
-    with v | R^2 shares the integer N = (R + v)^2 / v, and b is
-    N / (P*x*y).  A group is dropped at once unless P | N; otherwise
-    each x costs one test of M = N / P against x*y.
-
-    The x range: x >= lo keeps the tuple sorted after the head, x <= r // 2
-    is x <= y, and x >= r - v is y <= v (hence y <= bound); a v below r / 2
-    admits no x.  Within it only the x in divs[R + v] are tried, found by
-    two bisections: x*y*v*P*b = (R + v)^2, so x divides the square of the
-    whole sum, and every other x fails.  The table therefore reaches sums
-    up to n * bound.  n = 2 has no x, so its tuples (y, v) are tried
-    directly from a table up to bound.  The result is sorted
-    lexicographically.
+    n >= 4 walks out from the reduced n-tuples of `_reduced_tuples(n, bound)`.
+    Jumping an entry e of a node (sum s, product p) gives the other root
+    b*(p/e) - 2(s - e) - e = (s - e)^2 / e of the quadratic e satisfies with
+    the rest fixed; each distinct entry is jumped and the image is kept if it
+    is <= bound.  Reduction jumps the largest entry down and leaves the others
+    alone, so the reduction path of a solution within the bound stays within
+    it and ends at one of the roots, and the walk reaches the solution by the
+    reverse jumps.  Each node is checked exactly, s^2 == b*p.  The result is
+    sorted lexicographically.
     """
+    if n == 2:
+        return [((y, y), 4) for y in range(1, bound + 1)]
     if n == 3:
         return sorted((t, b) for b in range(1, 17) for t in _forest(b, bound) if sum(t) ** 2 == b * math.prod(t))
-    divs = _square_divisors(n * bound if n > 2 else bound, bound)
+    b_of = dict(_reduced_tuples(n, bound))
+    frontier = list(b_of)
     hits = []
-    if n == 2:
-        for y in range(1, bound + 1):
-            vs = divs[y]
-            for v in vs[bisect_left(vs, y) :]:
-                s2 = (y + v) ** 2
-                if s2 % (y * v) == 0:
-                    hits.append(((y, v), s2 // (y * v)))
-        return hits
-    for head in combinations_with_replacement(range(1, bound + 1), n - 3):
-        S, P, lo = sum(head), math.prod(head), head[-1]
-        for r in range(2 * lo, 2 * bound + 1):
-            R = S + r
-            vs = divs[R]
-            for v in vs[bisect_left(vs, (r + 1) // 2) :]:
-                M, rem = divmod((R + v) ** 2 // v, P)
-                if rem:
-                    continue
-                xs = divs[R + v]
-                for x in xs[bisect_left(xs, max(lo, r - v)) : bisect_left(xs, r // 2 + 1)]:
-                    xy = x * (r - x)
-                    if M % xy == 0:
-                        hits.append((head + (x, r - x, v), M // xy))
+    while frontier:
+        t = frontier.pop()
+        b, s, p = b_of[t], sum(t), math.prod(t)
+        if s * s != b * p:
+            continue
+        hits.append((t, b))
+        for e in set(t):
+            f = b * (p // e) - 2 * (s - e) - e
+            if f <= bound:
+                i = bisect_left(t, e)
+                u = tuple(sorted(t[:i] + t[i + 1 :] + (f,)))
+                if u not in b_of:
+                    b_of[u] = b
+                    frontier.append(u)
     hits.sort()
     return hits
 
 
 def search_cost(n: int, bound: int) -> int | float:
-    """About how much work the divisor search of `_sorted_solutions(n, bound)` does.
+    """About how much work the divisor search that `_sorted_solutions(n, bound)` once ran would do.
 
-    With k = bound.bit_length(), it counts a divisor table of (n - 1) * bound + 1
-    lists of about k^2 / 8 entries; each of the C(bound + n - 4, n - 3) heads
-    (n >= 3) sums and multiplies n - 3 entries and steps through 2 * bound
-    sums r; and each of the C(bound + n - 2, n - 1) sorted tuples of the first
-    n - 1 entries meets about k / 8 candidates v | R^2.  Against counts taken
-    in the search (table lists and entries, head entries, sums r, groups and
-    x tests), this is 0.7 to 1.03 times the work for n = 2 from bound 100 up.
-    For n >= 4 it is an upper estimate: the search tries only the x dividing
-    the square of the whole sum, so for n = 4..6 at the largest admitted
-    bounds it is 3 to 4.5 times the work.  n = 3 no longer runs that search:
-    its jump walk does work of the order of the forest size, a few hundred
-    nodes at bound 400, so the n = 3 value models nothing and is kept only so
-    that `cli.VERIFY_SEARCH_LIMIT` admits the same searches as before.
+    No n runs that search now: n = 2 is the diagonal, and n = 3 and n >= 4
+    walk out from their reduced tuples, with work of the order of the roots
+    scanned and the solutions found.  The model prices the old search
+    unchanged, only so that `cli.VERIFY_SEARCH_LIMIT` admits exactly the
+    searches it admitted before and every exit code stays the same.
+    With k = bound.bit_length(),
+    it counts a divisor table of (n - 1) * bound + 1 lists of about k^2 / 8
+    entries; each of the C(bound + n - 4, n - 3) heads (n >= 3) summing and
+    multiplying n - 3 entries and stepping through 2 * bound sums r; and about
+    k / 8 candidates v | R^2 for each of the C(bound + n - 2, n - 1) sorted
+    tuples of the first n - 1 entries.  Against counts taken in that search
+    it was 0.7 to 1.03 times the work for n = 2 from bound 100 up, and 3 to
+    4.5 times for n = 4..6 at the largest admitted bounds.
     As C(m, i) >= 2^i for i <= m / 2, huge n or bound pass sys.maxsize within
     63 factors: math.inf.
     """
@@ -384,18 +419,16 @@ def verify_general_bound(n: int, search_bound: int) -> GeneralBoundReport:
     """Exhaust sorted n-tuples up to search_bound and check b <= n^2.
 
     The solutions come from `_sorted_solutions` in lexicographic order,
-    and no solution up to the bound is skipped.  For n = 3 they are the
-    nodes of the jump walks from the reduced triples.  For other n an
-    integer b forces the last entry v to divide (R + v)^2, hence R^2,
-    where R is the sum of the first n - 1 entries; so only the v in
-    [y, search_bound] dividing R^2 are candidates (y the entry before
-    v).  Each solution is decided exactly, by the equation that also
-    yields its b.
+    and no solution up to the bound is skipped.  For n = 2 they are the
+    diagonal pairs (b = 4); for n >= 3 they are the nodes of the jump walks
+    from the reduced tuples, which every solution reduces to through
+    solutions with entries no larger than its own.  Each solution is
+    decided exactly, by the equation that also yields its b.
 
     Also reduces every solution found and confirms the reduced form has
     its largest entry bounded by the sum of the others.  The search is
-    complete only up to the given bound; no completeness of the b-value
-    list is claimed beyond it.
+    complete only up to the given bound; the complete b-value set of each n
+    is that of `_reduced_tuples(n)`, which needs no bound.
     """
     if n < 2:
         raise ValueError("n must be at least 2")

@@ -13,7 +13,10 @@ every sorted tuple up to the bound, with no divisor pruning.
 `pruned_b_sweep` and `pruned_general_bound` are the second oracle, fast
 enough for the benchmark's sizes: they walk every sorted prefix and try
 as last entry only the divisors of the prefix sum's square, one prefix
-at a time instead of grouped by sum.
+at a time.  `divisor_search` is the third, the package's search before
+it became a walk from the reduced tuples: the same divisors, grouped by
+sum, fast enough for the largest bounds `verify` admits.  Both take the
+divisor lists from `square_divisors`.
 
 `fraction_of_text` reads a "p" / "p/q" text with `Fraction`'s own
 parser, the oracle of `exact.parse_rational`.
@@ -54,7 +57,7 @@ from pipgeom.exact import Vec2
 from pipgeom.polygon import DegenerateHullError, RationalPolygon, hull
 from pipgeom.suites import _random_polygon as random_polygon
 from pipgeom.suites import _random_unimodular as random_unimodular
-from pipgeom.vieta import NTuple, _square_divisors, is_solution
+from pipgeom.vieta import NTuple, is_solution
 
 
 def sub(b: Vec2, a: Vec2) -> Vec2:
@@ -286,9 +289,68 @@ def brute_general_bound(n: int, bound: int) -> tuple[NTuple, ...]:
     return tuple(solutions)
 
 
+def square_divisors(limit: int, bound: int) -> list[list[int]]:
+    """divs[s] = the ascending d <= bound with d | s^2, for 0 <= s <= limit.
+
+    Write d = a^2 * c with c squarefree.  Then d | s^2 exactly when
+    k(d) = a * c = d / a divides s, so each d is sieved onto the
+    multiples of k(d); the largest such a comes from a sieve over the
+    squares.  Taking d in increasing order keeps every list sorted.
+    """
+    root = [1] * (bound + 1)  # root[d] = the largest a with a^2 | d
+    for a in range(2, math.isqrt(max(bound, 0)) + 1):
+        root[a * a :: a * a] = [a] * (bound // (a * a))
+    divs: list[list[int]] = [[] for _ in range(limit + 1)]
+    for d in range(1, bound + 1):
+        for s in range(0, limit + 1, d // root[d]):
+            divs[s].append(d)
+    return divs
+
+
+def divisor_search(n: int, bound: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every sorted n-tuple (n = 2 or n >= 4) with entries <= bound and integer b, as sorted (tuple, b).
+
+    An integer b forces the last entry v to divide (R + v)^2, hence R^2,
+    where R is the sum of the other entries.  For n >= 4 a tuple is a head
+    of n - 3 entries (sum S, product P, last entry lo), then x <= y, then v.
+    With r = x + y and R = S + r, every tuple of a group (head, r, v) with
+    v | R^2 shares N = (R + v)^2 / v, and b is N / (P*x*y); a group is
+    dropped unless P | N.  x runs from max(lo, r - v) (sorted, y <= v) to
+    r // 2 (x <= y), and only over the divisors of the square of the whole
+    sum R + v, since x*y*v*P*b = (R + v)^2.  n = 2 tries each (y, v) with
+    v | y^2 directly.
+    """
+    divs = square_divisors(n * bound if n > 2 else bound, bound)
+    hits = []
+    if n == 2:
+        for y in range(1, bound + 1):
+            vs = divs[y]
+            for v in vs[bisect_left(vs, y) :]:
+                s2 = (y + v) ** 2
+                if s2 % (y * v) == 0:
+                    hits.append(((y, v), s2 // (y * v)))
+        return hits
+    for head in combinations_with_replacement(range(1, bound + 1), n - 3):
+        S, P, lo = sum(head), math.prod(head), head[-1]
+        for r in range(2 * lo, 2 * bound + 1):
+            R = S + r
+            vs = divs[R]
+            for v in vs[bisect_left(vs, (r + 1) // 2) :]:
+                M, rem = divmod((R + v) ** 2 // v, P)
+                if rem:
+                    continue
+                xs = divs[R + v]
+                for x in xs[bisect_left(xs, max(lo, r - v)) : bisect_left(xs, r // 2 + 1)]:
+                    xy = x * (r - x)
+                    if M % xy == 0:
+                        hits.append((head + (x, r - x, v), M // xy))
+    hits.sort()
+    return hits
+
+
 def pruned_b_sweep(bound: int) -> dict[int, tuple[int, int, int]]:
     """First witness per b, trying for each (x, y) only the z | (x+y)^2."""
-    divs = _square_divisors(2 * bound, bound)
+    divs = square_divisors(2 * bound, bound)
     witnesses: dict[int, tuple[int, int, int]] = {}
     for x in range(1, bound + 1):
         for y in range(x, bound + 1):
@@ -304,7 +366,7 @@ def pruned_b_sweep(bound: int) -> dict[int, tuple[int, int, int]]:
 
 def pruned_general_bound(n: int, bound: int) -> tuple[NTuple, ...]:
     """Every solution up to bound, trying per sorted prefix only the last entries v | sum^2."""
-    divs = _square_divisors((n - 1) * bound, bound)
+    divs = square_divisors((n - 1) * bound, bound)
     solutions = []
     for prefix in combinations_with_replacement(range(1, bound + 1), n - 1):
         lasts = divs[sum(prefix)]

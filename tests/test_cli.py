@@ -451,7 +451,7 @@ def test_verify_search_at_the_limit_runs(capsys):
     "argv, digest",
     [
         (["--suite", "b-sweep"], "ad2abf3cce931b2dcef04a1e146063b8b1134d53b2c5a01a83cab2e5a4bf639b"),
-        (["--suite", "nvar-bound"], "930abbf01de2c3ca9b33a2763b055c07ee36ada48c7bf79df54fa4bf07926322"),
+        (["--suite", "nvar-bound"], "123ec331637726fb4b56552757efe2265bfc4234ff93bf167e7b8c2824436c28"),
         (["--suite", "reduced-table"], "94c3bbfdb6b28e74fc383605ad554c9fd54162d9b4fdacc0b18e29bcfc8e0dfd"),
         (["--suite", "family-grid"], "7ede869c1a721bb3978f38b386222304750339f592a90f89195c38d68ae12fc3"),
         (["--suite", "fibonacci"], "d822bf4ad9d6851dcaaca4fba8a784ca320402db624cb2bfac6054c56652b649"),

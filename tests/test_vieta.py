@@ -3,14 +3,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pipgeom import vieta
+from pipgeom.cli import VERIFY_SEARCH_LIMIT
 from pipgeom.suites import _brute_reduced
 from pipgeom.vieta import (
     BoundViolationError,
     NTuple,
     VietaSolution,
     _reduced_triples,
+    _reduced_tuples,
     _sorted_solutions,
-    _square_divisors,
     all_reduced_solutions,
     enumerate_reduced,
     family,
@@ -18,13 +19,21 @@ from pipgeom.vieta import (
     is_vieta_reduced,
     jump_forest,
     reduce_tuple,
+    search_cost,
     solution_b_sweep,
     verify_general_bound,
     vieta_jump,
     vieta_reduce,
 )
 
-from conftest import brute_b_sweep, brute_general_bound, pruned_b_sweep, pruned_general_bound
+from conftest import (
+    brute_b_sweep,
+    brute_general_bound,
+    divisor_search,
+    pruned_b_sweep,
+    pruned_general_bound,
+    square_divisors,
+)
 
 TABLE = {
     1: {(5, 20, 25), (6, 12, 18), (8, 8, 16), (9, 9, 9)},
@@ -276,10 +285,15 @@ def test_solution_b_sweep_small():
 @pytest.mark.parametrize("bound", [0, 1, 2, 3, 7, 40])
 def test_square_divisors_match_brute(bound):
     limit = 3 * bound
-    divs = _square_divisors(limit, bound)
+    divs = square_divisors(limit, bound)
     assert len(divs) == limit + 1
     for s, got in enumerate(divs):
         assert got == [d for d in range(1, bound + 1) if s * s % d == 0]
+
+
+@pytest.mark.parametrize("n, bound", [(2, 60), (4, 25), (5, 12), (6, 8)])
+def test_divisor_search_matches_pruned(n, bound):
+    assert divisor_search(n, bound) == [(t.values, t.b) for t in pruned_general_bound(n, bound)]
 
 
 def test_solution_b_sweep_matches_brute():
@@ -341,15 +355,85 @@ def test_solution_b_sweep_matches_pruned_on_a_grid(bound):
 
 
 def test_n3_search_builds_no_divisor_table(monkeypatch):
+    # no n builds one: the module keeps no table builder, and one patched in is never called
     def divisor_table(*args):
         raise AssertionError("divisor table built")
 
-    monkeypatch.setattr(vieta, "_square_divisors", divisor_table)
+    assert not hasattr(vieta, "_square_divisors")
+    monkeypatch.setattr(vieta, "_square_divisors", divisor_table, raising=False)
     assert _sorted_solutions(3, 400)
     assert len(solution_b_sweep(300)) == 8
     assert verify_general_bound(3, 200).max_b == 9
-    with pytest.raises(AssertionError, match="divisor table built"):
-        _sorted_solutions(4, 10)
+    for n in (2, 4, 5, 6, 8, 10):
+        assert _sorted_solutions(n, 10)
+
+
+def largest_admitted_bound(n):
+    bound = 0
+    while search_cost(n, bound + 1) <= VERIFY_SEARCH_LIMIT:
+        bound += 1
+    return bound
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_walk_matches_the_divisor_search_at_every_admitted_bound(n):
+    top = largest_admitted_bound(n)
+    assert top == {4: 82, 5: 34, 6: 20, 7: 14, 8: 11}[n]
+    for bound in range(-1, top + 1):
+        assert _sorted_solutions(n, bound) == divisor_search(n, bound), bound
+
+
+@pytest.mark.parametrize("n, bound", [(20, 4), (100, 2), (47059, 1)])
+def test_walk_matches_the_divisor_search_at_large_n(n, bound):
+    assert search_cost(n, bound) <= VERIFY_SEARCH_LIMIT
+    expected = divisor_search(n, bound)
+    assert expected
+    assert _sorted_solutions(n, bound) == expected
+
+
+def test_n2_is_the_diagonal():
+    assert largest_admitted_bound(2) == 4209
+    for bound in (-1, 0, 1, 2, 3, 50, 360, 4209):
+        diagonal = [((y, y), 4) for y in range(1, bound + 1)]
+        assert _sorted_solutions(2, bound) == diagonal == divisor_search(2, bound)
+
+
+def test_reduced_tuples_n3_are_the_reduced_triples():
+    triples = sorted((t, b) for b in range(1, 17) for t in _reduced_triples(b))
+    assert sorted(_reduced_tuples(3)) == triples
+    for bound in (1, 2, 3, 5, 9, 24, 25):
+        assert sorted(_reduced_tuples(3, bound)) == [(t, b) for t, b in triples if t[-1] <= bound]
+
+
+def test_reduced_tuples_n4_match_the_divisor_search_past_the_largest_root():
+    # a head has product <= n^2 = 16, so S <= 17 and T = S + w <= 34; the positive
+    # root of (k - 4) y^2 + (k*w - 4T) y - T^2 is at most 4T + T, so y <= 170 and v <= 187
+    roots = sorted(_reduced_tuples(4))
+    reduced = [(t, b) for t, b in divisor_search(4, 187) if t[-1] <= sum(t[:-1])]
+    assert roots == reduced
+    assert max(t[-1] for t, _ in roots) == 30
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_every_bounded_solution_reduces_into_the_reduced_tuples(n):
+    roots = dict(_reduced_tuples(n))
+    assert len(roots) == len(_reduced_tuples(n))
+    bound = largest_admitted_bound(n)
+    for t, b in divisor_search(n, bound):
+        assert roots[reduce_tuple(NTuple(t, b)).values] == b
+    assert sorted(_reduced_tuples(n, bound)) == sorted((t, b) for t, b in roots.items() if t[-1] <= bound)
+
+
+def test_reduced_tuples_reach_what_the_bounded_search_misses():
+    # b = 5 at n = 6 needs entries up to 20
+    assert ((1, 1, 1, 1, 16, 20), 5) in _reduced_tuples(6)
+    assert ((1, 1, 1, 1, 16, 20), 5) in _sorted_solutions(6, 20)
+    assert 5 not in {b for _, b in _sorted_solutions(6, 19)}
+    # n = 8 at its largest admitted bound, 11, misses b = 6, 7 and 8
+    b_values = {b for _, b in _reduced_tuples(8)}
+    assert b_values == {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 18, 25, 28, 64}
+    assert b_values - {b for _, b in _sorted_solutions(8, 11)} == {6, 7, 8}
+    assert max({b for _, b in _reduced_tuples(10)}) == 100
 
 
 def test_is_solution_any_length_and_ntuple():
