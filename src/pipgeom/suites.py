@@ -77,7 +77,7 @@ def suite_reduced_table() -> SuiteResult:
     res.add("b = 7 has no solutions", not vieta.enumerate_reduced(7))
     res.add(
         "b = 10..16 have no reduced solutions",
-        not any(vieta._reduced_triples(b) for b in range(10, 17)),
+        not any(10 <= b <= 16 for _, b in vieta._reduced_tuples(3)),
         "a reduced triple has b*x <= 16",
     )
     return res

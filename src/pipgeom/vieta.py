@@ -1,19 +1,20 @@
 """Positive solutions of b = (x+y+z)^2 / (xyz) and their jump structure.
 
 Solutions are stored sorted increasing; jumping replaces one entry by
-the conjugate root of the quadratic it satisfies, which walks a forest
-whose roots are the Vieta-reduced solutions (x <= y <= z <= x+y).
-The module also provides the recursively generated one-parameter
-families used to build triangle fixtures, and the n-variable
-generalization of the bound b <= n^2, whose solutions are walked to the
-same way from the finitely many reduced n-tuples.
+the conjugate root of the quadratic it satisfies.  The same step solves
+Hurwitz's n-variable equation (sum)^2 = b * product, and for every n >= 3
+one walk (`_walk`) reaches every solution by single jumps from the
+finitely many reduced n-tuples (largest entry at most the sum of the
+others), which one scan lists (`_reduced_tuples`); n = 3 is the forest
+over the 13 reduced triples.  The module also provides the recursively
+generated one-parameter families used to build triangle fixtures, and
+the n-variable bound b <= n^2.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from collections import namedtuple
 
 
@@ -71,19 +72,18 @@ def vieta_jump(s: VietaSolution, position: int) -> VietaSolution:
     so e' = b*p*q - 2(p+q) - e = (p+q)^2/e > 0 and the result is again
     a solution.  Jumping the same slot twice is the identity.
     """
-    entries = list(s.triple())
-    e = entries.pop(position)
-    return VietaSolution(*_jump(s.b, *entries, e), s.b)
+    t = s.triple()
+    rest = t[:position] + t[position + 1 :]
+    return VietaSolution(*sorted(rest + (_jump(s.b, sum(t), math.prod(t), t[position]),)), s.b)
 
 
-def _jump(b: int, p: int, q: int, e: int) -> tuple[int, int, int]:
-    """The sorted triple (p, q, e') with e' = b*p*q - 2(p+q) - e, for p <= q."""
-    e = b * p * q - 2 * (p + q) - e
-    if e <= p:
-        return (e, p, q)
-    if e <= q:
-        return (p, e, q)
-    return (p, q, e)
+def _jump(b: int, s: int, p: int, e: int) -> int:
+    """The conjugate e' = b*p/e - 2*s + e of the entry e of a solution with sum s and product p.
+
+    With the other entries fixed, e and e' are the two roots of
+    t^2 - (b*p/e - 2(s - e)) t + (s - e)^2, so e' = (s - e)^2 / e > 0.
+    """
+    return b * (p // e) - 2 * s + e
 
 
 def vieta_reduce(s: VietaSolution) -> VietaSolution:
@@ -91,100 +91,87 @@ def vieta_reduce(s: VietaSolution) -> VietaSolution:
     return VietaSolution(*reduce_tuple(NTuple(s.triple(), s.b)).values, s.b)
 
 
-def _reduced_triples(b: int) -> list[tuple[int, int, int]]:
-    """The sorted reduced triples (x <= y <= z <= x+y) with (x+y+z)^2 = b*x*y*z, for any b >= 1.
-
-    Reducedness gives x + y + z <= 4y and x*y*z >= x*y^2, so
-    b*x*y^2 <= 16*y^2: b*x <= 16, which leaves x <= 16 // b and no
-    triple at all for b > 16.  With w := z - y in 0..x, each (x, w)
-    cell is a quadratic in y:
-    (b*x - 4) y^2 + (b*x*w - 4(x+w)) y - (x+w)^2 = 0.
-    Cells with b*x <= 4 have no positive root (the root product is
-    negative or the linear case forces y < 0).  The perfect-square test
-    uses exact integer square roots; a near-square is never accepted.
-    """
-    found = []
-    for x in range(1, 16 // b + 1):
-        A = b * x - 4
-        if A <= 0:
-            continue
-        for w in range(0, x + 1):
-            B = b * x * w - 4 * (x + w)
-            C = -((x + w) ** 2)
-            disc = B * B - 4 * A * C
-            root = math.isqrt(disc)
-            if root * root != disc:
-                continue
-            for num in (-B + root, -B - root):
-                if num > 0 and num % (2 * A) == 0:
-                    y = num // (2 * A)
-                    z = y + w
-                    if x <= y and is_solution(x, y, z) == b:
-                        found.append((x, y, z))
-    return found
-
-
 def enumerate_reduced(b: int) -> frozenset[VietaSolution]:
-    """All Vieta-reduced solutions for one b in 1..9; see `_reduced_triples`."""
+    """All Vieta-reduced solutions for one b in 1..9, from the reduced triples of `_reduced_tuples(3)`."""
     if not 1 <= b <= 9:
         raise ValueError("b must be in 1..9")
-    return frozenset(VietaSolution(*t, b) for t in _reduced_triples(b))
+    return frozenset(VietaSolution(*t, b) for t, c in _REDUCED_TRIPLES if c == b)
 
 
 def all_reduced_solutions() -> tuple[VietaSolution, ...]:
-    """The complete table of reduced solutions over b = 1..9, sorted."""
-    out = []
-    for b in range(1, 10):
-        out.extend(enumerate_reduced(b))
-    return tuple(sorted(out, key=lambda s: (s.b, s.x, s.y, s.z)))
+    """The complete table of reduced solutions over b = 1..9, sorted by (b, x, y, z)."""
+    rows = sorted(_REDUCED_TRIPLES, key=lambda row: (row[1], row[0]))
+    return tuple(VietaSolution(*t, b) for t, b in rows)
 
 
-def _forest(b: int, max_z: int) -> dict[tuple[int, int, int], set[tuple[int, int, int]]]:
-    """The single-jump graph on the sorted solutions for b with entries <= max_z.
+def _walk(
+    roots: list[tuple[tuple[int, ...], int]], bound: int
+) -> tuple[dict[tuple[int, ...], list[tuple[int, ...]]], dict[tuple[int, ...], int]]:
+    """The single-jump graph on the solutions reached from `roots` with entries <= bound.
 
-    Maps each sorted triple to the set of its distinct sorted jump images
-    within the bound.  The walk starts from the reduced triples and is
-    complete: reducing a solution jumps its largest entry down, so its
-    reduction path to a root has strictly decreasing maxima, every node
-    on it lies within the bound, and the walk reaches the solution by
-    the reverse jumps.  Any b >= 1 is taken; above 16 there are no roots.
+    `roots` are sorted reduced n-tuples (n >= 3) with entries <= bound, as
+    (tuple, b).  Returns each node's list of distinct neighbours and each
+    node's b.  A node t (sum s, product p, largest entry v) jumps every
+    distinct entry e to e' = `_jump(b, s, p, e)` = (s - e)^2 / e, except
+    the largest entry of a node that is not reduced:
+
+    - Every jump taken goes up.  An entry e that is not the last one has
+      s - e >= v + 1 > e, so e' > s - e > v; the last entry of a reduced
+      node has s - v >= v, so e' >= v, and e' = v is the identity.  So the
+      image is t less one e with e' appended, sorted as it stands, and its
+      largest entry e' exceeds the sum s - e of the others: it is not
+      reduced, and reducing it jumps e' back to e, which gives t.
+    - The skipped jump adds nothing.  A node t that is not reduced has one
+      largest entry (v > s - v), and jumping it is t's reduction step: it
+      lands on the node that t reduces to, whose jump up reached t and
+      recorded the edge both ways.  A reduced node still jumps its largest
+      entry: from n = 4 on that reaches new nodes.
+    - The walk is complete.  Reducing a solution within the bound lowers
+      only its largest entry, so the path to its reduced root stays within
+      the bound, and the walk takes the path back, one jump up at a time.
+    - Each node is met once.  A node that is not a root is entered only
+      from the node it reduces to, so the graph is a forest and needs no
+      visited test.
+
+    Each image is compared with the bound before its tuple is built, and
+    each node is checked exactly, s^2 == b*p.
     """
-    adjacency: dict[tuple[int, int, int], set[tuple[int, int, int]]] = {
-        t: set() for t in _reduced_triples(b) if t[2] <= max_z
-    }
-    frontier = list(adjacency)
+    b_of = dict(roots)
+    adjacency: dict[tuple[int, ...], list[tuple[int, ...]]] = {t: [] for t in b_of}
+    frontier = list(b_of.items())
     while frontier:
-        t = frontier.pop()
-        x, y, z = t
-        for nb in (_jump(b, y, z, x), _jump(b, x, z, y), _jump(b, x, y, z)):
-            if nb == t or nb[2] > max_z:
-                continue
-            adjacency[t].add(nb)
-            if nb not in adjacency:
-                adjacency[nb] = set()
-                frontier.append(nb)
-            adjacency[nb].add(t)
-    return adjacency
+        t, b = frontier.pop()
+        s, p = sum(t), math.prod(t)
+        if s * s != b * p:
+            raise ValueError(f"{t} is not a solution for b={b}")
+        for e in set(t) if 2 * t[-1] <= s else set(t[:-1]):
+            f = _jump(b, s, p, e)
+            if f <= bound and f != e:
+                i = t.index(e)
+                u = t[:i] + t[i + 1 :] + (f,)
+                b_of[u] = b
+                adjacency[u] = [t]
+                adjacency[t].append(u)
+                frontier.append((u, b))
+    return adjacency, b_of
 
 
 def jump_forest(b: int, max_z: int) -> dict[VietaSolution, tuple[VietaSolution, ...]]:
     """Sorted-solution graph with single jumps as edges, entries <= max_z.
 
-    Every node is reachable from a reduced root because reduction paths
-    have strictly decreasing maxima.  The unsorted solution graph is a
-    3-regular rooted forest with one tree per reordering of each
-    reduced solution (51 trees over all b); what is exposed here is its
-    quotient modulo reordering, one component per reduced solution, so
-    jumps that land on the same sorted triple are dropped.
-
-    `_forest` walks plain sorted triples; each node's `VietaSolution`,
-    which checks the equation, is built once from the finished graph and
-    shared by its key and every neighbour tuple.  Nodes and neighbours
-    come sorted, which orders them as `VietaSolution`s of one b.
+    The unsorted solution graph is a 3-regular rooted forest with one tree
+    per reordering of each reduced solution (51 trees over all b); what is
+    exposed here is its quotient modulo reordering, one component per
+    reduced solution, so jumps that land on the same sorted triple are
+    dropped.  `_walk` reaches every node from b's reduced triples, on plain
+    sorted triples; each node's `VietaSolution`, which checks the
+    equation, is built once from the finished graph and shared by its key
+    and every neighbour tuple.  Nodes and neighbours come sorted, which
+    orders them as `VietaSolution`s of one b.
     """
     if not 1 <= b <= 9:
         raise ValueError("b must be in 1..9")
-    adjacency = _forest(b, max_z)
+    adjacency, _ = _walk([(t, c) for t, c in _REDUCED_TRIPLES if c == b and t[-1] <= max_z], max_z)
     nodes = {t: VietaSolution(*t, b) for t in sorted(adjacency)}
     # tuple() of a list sizes each neighbour tuple exactly; of a generator it over-allocates
     return {s: tuple([nodes[u] for u in sorted(adjacency[t])]) for t, s in nodes.items()}
@@ -202,7 +189,7 @@ class FamilyState(namedtuple("FamilyState", "seed j x y z")):
 def family(seed: VietaSolution, j_max: int) -> list[FamilyState]:
     """States s_0..s_j_max grown from a reduced seed by jumping the middle entry.
 
-    Each step is `_jump(b, x, z, y)`: y_{j+1} = z_j and z_{j+1} is the
+    Each step jumps y with `_jump`: y_{j+1} = z_j and z_{j+1} is the
     conjugate b*x*z_j - 2(x + z_j) - y_j, with x fixed.  Every state is a
     solution, z grows strictly, and x divides both y_j and z_j, which
     downstream triangle construction relies on.
@@ -213,7 +200,7 @@ def family(seed: VietaSolution, j_max: int) -> list[FamilyState]:
     x, y, z = seed.triple()
     states = [FamilyState(seed, 0, x, y, z)]
     for j in range(1, j_max + 1):
-        _, y, z = _jump(b, x, z, y)
+        y, z = z, _jump(b, x + y + z, x * y * z, y)
         st = FamilyState(seed, j, x, y, z)
         prev = states[-1]
         if st.z <= prev.z or y % x or z % x or is_solution(x, y, z) != b:
@@ -238,7 +225,8 @@ def _reduced_tuples(n: int, bound: int | None = None) -> list[tuple[tuple[int, .
       (T + 2y)^2 <= n^2 y^2 + (3n - 2) y w <= n^2 * y * (y + w), and
       k = b*P <= n^2.  (In particular b <= n^2 for every solution.)  So a
       head is n - 2 - j ones and j entries >= 2 with product <= n^2, built
-      by extending one entry at a time, never by recursing n deep.
+      by extending one entry at a time, never by recursing n deep.  For
+      n = 3 the head is (x) and b*x <= 9.
     - The range of b is exact: k(y) = (T + 2y)^2 / (y(y + w)) strictly
       decreases in y > 0 towards 4 (the numerator of its log-derivative is
       -2*S*y - T*w < 0).  So the positive root y exists exactly when
@@ -287,6 +275,10 @@ def _reduced_tuples(n: int, bound: int | None = None) -> list[tuple[tuple[int, .
     return found
 
 
+# the reduced triples of every b, a finite table: 13 rows, all with b <= 9
+_REDUCED_TRIPLES = tuple(_reduced_tuples(3))
+
+
 def _sorted_solutions(n: int, bound: int) -> list[tuple[tuple[int, ...], int]]:
     """Every sorted n-tuple with entries <= bound and integer b, as (tuple, b).
 
@@ -294,52 +286,23 @@ def _sorted_solutions(n: int, bound: int) -> list[tuple[tuple[int, ...], int]]:
     gcd(a, c) = 1; (y + v)^2 = b*y*v becomes (a + c)^2 = b*a*c, so a
     divides c^2 and c divides a^2, hence a = c = 1 and b = 4.
 
-    n = 3 is the union over b = 1..16 of the jump graphs `_forest(b, bound)`:
-    every solution reduces to a reduced triple of the same b, which has
-    b*x <= 16, and the walk from those roots reaches every solution within
-    the bound.  Each node is checked exactly, (x+y+z)^2 == b*x*y*z.
-
-    n >= 4 walks out from the reduced n-tuples of `_reduced_tuples(n, bound)`.
-    Jumping an entry e of a node (sum s, product p) gives the other root
-    b*(p/e) - 2(s - e) - e = (s - e)^2 / e of the quadratic e satisfies with
-    the rest fixed; each distinct entry is jumped and the image is kept if it
-    is <= bound.  Reduction jumps the largest entry down and leaves the others
-    alone, so the reduction path of a solution within the bound stays within
-    it and ends at one of the roots, and the walk reaches the solution by the
-    reverse jumps.  Each node is checked exactly, s^2 == b*p.  The result is
-    sorted lexicographically.
+    n >= 3 is the `_walk` out from the reduced n-tuples of
+    `_reduced_tuples(n, bound)`: every solution within the bound reduces to
+    one of them, with the same b, through solutions within the bound, and
+    the walk reaches it by the reverse jumps.  Each node is checked exactly.
+    The result is sorted lexicographically.
     """
     if n == 2:
         return [((y, y), 4) for y in range(1, bound + 1)]
-    if n == 3:
-        return sorted((t, b) for b in range(1, 17) for t in _forest(b, bound) if sum(t) ** 2 == b * math.prod(t))
-    b_of = dict(_reduced_tuples(n, bound))
-    frontier = list(b_of)
-    hits = []
-    while frontier:
-        t = frontier.pop()
-        b, s, p = b_of[t], sum(t), math.prod(t)
-        if s * s != b * p:
-            continue
-        hits.append((t, b))
-        for e in set(t):
-            f = b * (p // e) - 2 * (s - e) - e
-            if f <= bound:
-                i = bisect_left(t, e)
-                u = tuple(sorted(t[:i] + t[i + 1 :] + (f,)))
-                if u not in b_of:
-                    b_of[u] = b
-                    frontier.append(u)
-    hits.sort()
-    return hits
+    return sorted(_walk(_reduced_tuples(n, bound), bound)[1].items())
 
 
 def search_cost(n: int, bound: int) -> int | float:
     """About how much work the divisor search that `_sorted_solutions(n, bound)` once ran would do.
 
-    No n runs that search now: n = 2 is the diagonal, and n = 3 and n >= 4
-    walk out from their reduced tuples, with work of the order of the roots
-    scanned and the solutions found.  The model prices the old search
+    No n runs that search now: n = 2 is the diagonal, and every n >= 3 is
+    the one `_walk` out from its reduced tuples, with work of the order of
+    the roots scanned and the solutions found.  The model prices the old search
     unchanged, only so that `cli.VERIFY_SEARCH_LIMIT` admits exactly the
     searches it admitted before and every exit code stays the same.
     With k = bound.bit_length(),
@@ -368,10 +331,11 @@ def solution_b_sweep(bound: int) -> dict[int, tuple[int, int, int]]:
 
     Takes, in lexicographic order, every 1 <= x <= y <= z <= bound with
     xyz | (x+y+z)^2 from `_sorted_solutions` and keeps the first triple
-    per b.  Those triples are the nodes of the jump walks from the
-    reduced triples of b = 1..16; since every solution reduces to such a
-    root through solutions with smaller largest entries, the walk is
-    complete up to the bound.  Each node is checked exactly.
+    per b.  Those triples are the nodes of the `_walk` from the reduced
+    triples (b*x <= 9 for each, see `_reduced_tuples`); since every
+    solution reduces to such a root through solutions with smaller largest
+    entries, the walk is complete up to the bound.  Each node is checked
+    exactly.
     """
     witnesses: dict[int, tuple[int, int, int]] = {}
     for triple, b in _sorted_solutions(3, bound):
@@ -404,10 +368,9 @@ def reduce_tuple(t: NTuple) -> NTuple:
     """
     values, b = t.values, t.b
     while values[-1] > sum(values[:-1]):
-        rest = values[:-1]
-        new_last = b * math.prod(rest) - 2 * sum(rest) - values[-1]
+        new_last = _jump(b, sum(values), math.prod(values), values[-1])
         assert 1 <= new_last < values[-1]
-        values = tuple(sorted(rest + (new_last,)))
+        values = tuple(sorted(values[:-1] + (new_last,)))
     return NTuple(values, b)
 
 

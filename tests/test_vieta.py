@@ -9,7 +9,6 @@ from pipgeom.vieta import (
     BoundViolationError,
     NTuple,
     VietaSolution,
-    _reduced_triples,
     _reduced_tuples,
     _sorted_solutions,
     all_reduced_solutions,
@@ -181,15 +180,22 @@ def test_forest_component_structure():
     assert total_orderings == 51
 
 
+BRUTE_REDUCED = _brute_reduced()
+
+
 def reference_jump_forest(b, max_z):
-    # the forest search on solution objects: every jump through the public
-    # vieta_jump, with the graph keyed and sorted by VietaSolution
-    adjacency = {s: set() for s in enumerate_reduced(b) if s.z <= max_z}
+    # the forest search on solution objects, apart from the package's walk and
+    # jump rule: the roots come from the raw scan of the reduced triples, the
+    # conjugate of an entry is (sum of the other two)^2 / entry, and the graph
+    # is keyed and sorted by VietaSolution
+    adjacency = {VietaSolution(x, y, z, b): set() for c, x, y, z in BRUTE_REDUCED if c == b and z <= max_z}
     frontier = list(adjacency)
     while frontier:
         s = frontier.pop()
+        t = s.triple()
         for pos in range(3):
-            nb = vieta_jump(s, pos)
+            rest = t[:pos] + t[pos + 1 :]
+            nb = VietaSolution(*sorted(rest + (sum(rest) ** 2 // t[pos],)), b)
             if nb == s or nb.z > max_z:
                 continue
             adjacency[s].add(nb)
@@ -208,6 +214,41 @@ def test_jump_forest_matches_the_reference_search(b, max_z):
     assert list(forest) == list(expected)
     for s, nbrs in forest.items():
         assert all(type(t) is VietaSolution and t.b == b for t in (s, *nbrs))
+
+
+def largest_entry_jump(t):
+    # the reduction step written out: the largest entry v goes to (sum of the others)^2 / v
+    rest = t[:-1]
+    v, rem = divmod(sum(rest) ** 2, t[-1])
+    assert not rem
+    return tuple(sorted(rest + (v,)))
+
+
+def test_the_skipped_jump_of_the_largest_entry_is_an_edge_of_the_walk():
+    # the walk does not jump the largest entry of a node that is not reduced: that
+    # jump is the node's reduction step and lands on a node that records the edge
+    checked = 0
+    for b in range(1, 10):
+        forest = jump_forest(b, 10**6)
+        for s in forest:
+            if not is_vieta_reduced(s):
+                t = s.triple()
+                u = largest_entry_jump(t)
+                assert u[-1] < t[-1]
+                assert reduce_tuple(NTuple(u, b)) == reduce_tuple(NTuple(t, b))
+                assert VietaSolution(*u, b) in forest[s]
+                checked += 1
+    for n, bound in ((4, 40), (5, 20), (6, 12)):
+        adjacency, b_of = vieta._walk(_reduced_tuples(n, bound), bound)
+        assert sorted(b_of.items()) == _sorted_solutions(n, bound)
+        for t, b in b_of.items():
+            if t[-1] > sum(t[:-1]):
+                u = largest_entry_jump(t)
+                assert u[-1] < t[-1]
+                assert reduce_tuple(NTuple(u, b)) == reduce_tuple(NTuple(t, b))
+                assert b_of[u] == b and u in adjacency[t] and t in adjacency[u]
+                checked += 1
+    assert checked > 100
 
 
 def test_family_fibonacci_z_values():
@@ -258,8 +299,8 @@ def test_family_matches_the_recursion_to_depth_200():
 
 
 def test_family_rejects_a_step_that_does_not_grow(monkeypatch):
-    # a conjugate that returns the middle entry leaves z where it was
-    monkeypatch.setattr("pipgeom.vieta._jump", lambda b, p, q, e: (p, e, q))
+    # a conjugate that returns the jumped middle entry moves z back to y
+    monkeypatch.setattr("pipgeom.vieta._jump", lambda b, s, p, e: e)
     with pytest.raises(AssertionError, match="j=1"):
         family(VietaSolution(1, 1, 1, 9), 3)
 
@@ -336,8 +377,9 @@ def test_sorted_solutions_match_pruned_at_benchmark_size(n, bound):
 def test_reduced_triples_cover_every_b_that_reducedness_admits():
     brute = _brute_reduced()
     assert {b for b, *_ in brute} == {1, 2, 3, 4, 5, 6, 8, 9}
+    roots = _reduced_tuples(3)
     for b in range(1, 17):
-        assert sorted(_reduced_triples(b)) == sorted((x, y, z) for c, x, y, z in brute if c == b)
+        assert sorted(t for t, c in roots if c == b) == sorted((x, y, z) for c, x, y, z in brute if c == b)
 
 
 def test_sorted_solutions_n3_match_pruned_at_every_bound_to_400():
@@ -399,7 +441,7 @@ def test_n2_is_the_diagonal():
 
 
 def test_reduced_tuples_n3_are_the_reduced_triples():
-    triples = sorted((t, b) for b in range(1, 17) for t in _reduced_triples(b))
+    triples = sorted(((x, y, z), b) for b, x, y, z in BRUTE_REDUCED if b <= 16)
     assert sorted(_reduced_tuples(3)) == triples
     for bound in (1, 2, 3, 5, 9, 24, 25):
         assert sorted(_reduced_tuples(3, bound)) == [(t, b) for t, b in triples if t[-1] <= bound]
